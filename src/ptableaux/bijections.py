@@ -6,7 +6,6 @@ from .core import (
     ParsedWord,
     PTableau,
     Word,
-    _pack_rows,
     minimal_parsing,
 )
 from .errors import BiwordInvalid
@@ -192,20 +191,14 @@ def ptableau_from_word(pw, rows: int | None = None) -> PTableau:
     for s, factor in enumerate(pw.factors, start=1):
         for letter in factor:
             rows_values[letter - 1].append(s)
-    grid = _pack_rows(rows_values, n)
-    return PTableau._make(grid, pw.num_factors)
+    return PTableau._from_rows(rows_values, pw.num_factors)
 
 
 def word_from_ptableau(tab: PTableau) -> ParsedWord:
     """Inverse of :func:`ptableau_from_word`: read each strip head to tail."""
-    letters: list[int] = []
-    cuts: list[int] = []
-    for v in range(1, tab.content_bound + 1):
-        for r, _ in tab.cells_of(v):
-            letters.append(r + 1)
-        if v < tab.content_bound:
-            cuts.append(len(letters))
-    return ParsedWord(Word(tab.rows, letters), cuts)
+    strips = [tab.cells_of(v) for v in range(1, tab.content_bound + 1)]
+    factors = [[r + 1 for r, _ in cells] for cells in strips]
+    return ParsedWord._from_factors(tab.rows, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +219,7 @@ def parsed_from_biword(bw: Biword) -> ParsedWord:
     factors: list[list[int]] = [[] for _ in range(bw.top_rank)]
     for a, b in bw.columns:
         factors[a - 1].append(b)
-    letters = [b for f in factors for b in f]
-    cuts = []
-    pos = 0
-    for f in factors[:-1]:
-        pos += len(f)
-        cuts.append(pos)
-    return ParsedWord(Word(bw.bottom_rank, letters), cuts)
+    return ParsedWord._from_factors(bw.bottom_rank, factors)
 
 
 def matrix_from_biword(bw: Biword) -> NNMatrix:
@@ -265,14 +252,8 @@ def dual(tab: PTableau) -> PTableau:
     """The dual ptableau: row i of the input, read right to left, names the
     rows of the i-strip of the output.  An involution; its matrix is the
     transpose of the input's."""
-    factors = [list(reversed(row)) for row in tab.row_values()]
-    letters = [v for f in factors for v in f]
-    cuts = []
-    pos = 0
-    for f in factors[:-1]:
-        pos += len(f)
-        cuts.append(pos)
-    pw = ParsedWord(Word(tab.content_bound, letters), cuts)
+    factors = [reversed(row) for row in tab.row_values()]
+    pw = ParsedWord._from_factors(tab.content_bound, factors)
     return ptableau_from_word(pw, rows=tab.content_bound)
 
 
@@ -317,9 +298,7 @@ def rsk(bw: Biword) -> SSYTPair:
         for col in cols:
             for r, v in enumerate(col):
                 rows_values[r].append(v)
-        for row in rows_values:
-            row.sort()
-        return PTableau._make(_pack_rows(rows_values, n_rows), bound)
+        return PTableau._from_rows(rows_values, bound)
 
     p = to_tab(cols_p, bw.bottom_rank, bw.bottom_rank)
     q = to_tab(cols_q, bw.top_rank, bw.top_rank)

@@ -25,6 +25,7 @@ from .core import (
     ParsedWord,
     PTableau,
     Word,
+    _grid_from_text,
     is_anti_partition_shaped,
     is_minimally_parsed,
     is_partition_shaped,
@@ -90,11 +91,23 @@ def _load_ptableau(text: str) -> PTableau:
     return PTableau.from_text(text)
 
 
-def _sniff_type(text: str) -> str:
+def _sniff_type(text: str, declared: str) -> str:
+    """The model named by --from/--type, or the one ``text`` looks like."""
+    if declared != "auto":
+        return declared
     stripped = text.strip()
     if stripped.startswith("{") or "." in stripped or "\n" in stripped:
         return "ptab"
     return "word"
+
+
+def _load_seed(text: str, args, as_ptableau: bool = True):
+    """The --type/--rank/--parse input of apply, hw and crystal: a ptableau,
+    or a parsed word, which ``as_ptableau`` replaces by its ptableau."""
+    if _sniff_type(text, args.type) == "ptab":
+        return _load_ptableau(text)
+    pw = _load_parsed(text, args.rank, args.parse)
+    return ptableau_from_word(pw) if as_ptableau else pw
 
 
 def _emit_ptableau(tab: PTableau, fmt: str) -> str:
@@ -105,9 +118,7 @@ def _emit_ptableau(tab: PTableau, fmt: str) -> str:
 
 def cmd_convert(args) -> int:
     text = _read_input(args.value)
-    source = args.source
-    if source == "auto":
-        source = _sniff_type(text)
+    source = _sniff_type(text, args.source)
     # normalize the input to a parsed word, the pivot model
     if source in ("word", "parsed"):
         pw = _load_parsed(text, args.rank, args.parse)
@@ -161,12 +172,7 @@ def _parse_ops(text: str):
 
 
 def cmd_apply(args) -> int:
-    text = _read_input(args.input)
-    kind = args.type if args.type != "auto" else _sniff_type(text)
-    if kind == "ptab":
-        obj = _load_ptableau(text)
-    else:
-        obj = _load_parsed(text, args.rank, args.parse)
+    obj = _load_seed(_read_input(args.input), args, as_ptableau=False)
     out = apply_ops(obj, _parse_ops(args.ops))
     if out is None:
         print("NULL")
@@ -178,25 +184,14 @@ def cmd_apply(args) -> int:
 
 
 def cmd_hw(args) -> int:
-    text = _read_input(args.input)
-    kind = args.type if args.type != "auto" else _sniff_type(text)
-    if kind == "ptab":
-        obj = _load_ptableau(text)
-    else:
-        obj = ptableau_from_word(_load_parsed(text, args.rank, args.parse))
-    top, seq = to_highest_weight(obj)
+    top, seq = to_highest_weight(_load_seed(_read_input(args.input), args))
     print(_emit_ptableau(top, args.format))
     print("ops: " + " ".join(f"e{i}" for i in seq))
     return 0
 
 
 def cmd_crystal(args) -> int:
-    text = _read_input(args.seed)
-    kind = args.type if args.type != "auto" else _sniff_type(text)
-    if kind == "ptab":
-        seed = _load_ptableau(text)
-    else:
-        seed = ptableau_from_word(_load_parsed(text, args.rank, args.parse))
+    seed = _load_seed(_read_input(args.seed), args)
     graph = component(seed, max_nodes=args.max_nodes)
     if args.format == "dot":
         print(export_dot(graph))
@@ -296,10 +291,7 @@ def cmd_commute(args) -> int:
 
 
 def cmd_check(args) -> int:
-    text = _read_input(args.input)
-    rows = []
-    for line in text.strip().splitlines():
-        rows.append([None if tok == "." else int(tok) for tok in line.split()])
+    rows = _grid_from_text(_read_input(args.input))
     try:
         tab = validate_ptableau(rows)
     except PTableauError as exc:
@@ -320,6 +312,16 @@ def cmd_check(args) -> int:
     ):
         print(f"ok {name}: {result}")
     return 0
+
+
+def _add_model_options(p, formats=("text", "json"), max_nodes=False):
+    """The --type/--rank/--parse/--format options of apply, hw and crystal."""
+    p.add_argument("--type", choices=["word", "ptab", "auto"], default="auto")
+    p.add_argument("--rank", type=int, default=None)
+    p.add_argument("--parse", default=None)
+    if max_nodes:
+        p.add_argument("--max-nodes", type=int, default=10**6)
+    p.add_argument("--format", choices=list(formats), default="text")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,27 +346,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("apply", help="apply an operator chain like 'e2 f1'")
     p.add_argument("--ops", required=True)
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--type", choices=["word", "ptab", "auto"], default="auto")
-    p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--parse", default=None)
-    p.add_argument("--format", choices=["text", "json"], default="text")
+    _add_model_options(p)
     p.set_defaults(func=cmd_apply)
 
     p = sub.add_parser("hw", help="raise to the highest weight element")
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--type", choices=["word", "ptab", "auto"], default="auto")
-    p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--parse", default=None)
-    p.add_argument("--format", choices=["text", "json"], default="text")
+    _add_model_options(p)
     p.set_defaults(func=cmd_hw)
 
     p = sub.add_parser("crystal", help="build the connected crystal component")
     p.add_argument("--seed", required=True)
-    p.add_argument("--type", choices=["word", "ptab", "auto"], default="auto")
-    p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--parse", default=None)
-    p.add_argument("--max-nodes", type=int, default=10**6)
-    p.add_argument("--format", choices=["text", "json", "dot"], default="text")
+    _add_model_options(p, ("text", "json", "dot"), max_nodes=True)
     p.set_defaults(func=cmd_crystal)
 
     p = sub.add_parser("decompose", help="decompose all words of a given length")

@@ -24,6 +24,7 @@ from .errors import (
     ColumnStrictViolation,
     DimensionMismatch,
     InvalidParsing,
+    PTableauError,
     ShadowViolation,
     StripViolation,
 )
@@ -38,7 +39,7 @@ class Word:
         if rank < 0:
             raise ValueError("rank must be non-negative")
         for a in letters:
-            if not isinstance(a, int) or not 1 <= a <= rank:
+            if type(a) is not int or not 1 <= a <= rank:  # bool is not a letter
                 raise ValueError(f"letter {a!r} outside alphabet [1..{rank}]")
         self.rank = rank
         self.letters = letters
@@ -141,11 +142,19 @@ class ParsedWord:
         return f"ParsedWord({self.rank}, {self.to_text()!r})"
 
     @classmethod
+    def _from_factors(cls, rank: int, factors) -> "ParsedWord":
+        """The parsed word whose factors are ``factors``, in order."""
+        letters, cuts = [], []
+        for f in factors:
+            letters.extend(f)
+            cuts.append(len(letters))
+        return cls(Word(rank, letters), cuts[:-1])
+
+    @classmethod
     def from_text(cls, text: str, rank: int | None = None) -> "ParsedWord":
         """Parse "21|22|331|331"; "||" denotes an empty factor."""
-        pieces = text.strip().split("|")
         factors = []
-        for piece in pieces:
+        for piece in text.strip().split("|"):
             piece = piece.strip()
             if not piece:
                 factors.append([])
@@ -153,15 +162,9 @@ class ParsedWord:
                 factors.append([int(t) for t in piece.split(",") if t.strip()])
             else:
                 factors.append([int(ch) for ch in piece])
-        letters = [a for f in factors for a in f]
         if rank is None:
-            rank = max(letters, default=0)
-        cuts = []
-        pos = 0
-        for f in factors[:-1]:
-            pos += len(f)
-            cuts.append(pos)
-        return cls(Word(rank, letters), cuts)
+            rank = max((a for f in factors for a in f), default=0)
+        return cls._from_factors(rank, factors)
 
     def to_text(self) -> str:
         sep = "," if self.rank > 9 else ""
@@ -206,6 +209,14 @@ def _normalize_grid(grid):
 
 def _row_values(grid):
     return [[cell for cell in row if cell is not None] for row in grid]
+
+
+def _grid_from_text(text: str):
+    """Rows of the one-line-per-row text format; "." marks a blank."""
+    return [
+        [None if tok == "." else int(tok) for tok in line.split()]
+        for line in text.strip().splitlines()
+    ]
 
 
 def _pack_rows(rows_values, n_rows: int):
@@ -257,13 +268,6 @@ def _pack_rows(rows_values, n_rows: int):
     )
 
 
-def _pad(grid, n_rows, width):
-    return tuple(
-        (grid[r] if r < len(grid) else ()) + (None,) * (width - len(grid[r]))
-        for r in range(n_rows)
-    )
-
-
 def left_justify(grid):
     """The unique left-justified grid row-equivalent to ``grid``.
 
@@ -273,8 +277,9 @@ def left_justify(grid):
     grid = _normalize_grid(grid)
     if not grid:
         return grid
+    width = len(grid[0])
     packed = _pack_rows(_row_values(grid), len(grid))
-    return _pad(packed, len(grid), len(grid[0]))
+    return tuple(row + (None,) * (width - len(row)) for row in packed)
 
 
 def _rotate_grid(grid, bound: int):
@@ -365,10 +370,11 @@ class PTableau:
         self.cols = len(grid[0]) if grid and grid[0] else 0
         self.content_bound = content_bound
 
-    @staticmethod
-    def _make(grid, content_bound):
-        grid = tuple(tuple(row) for row in grid)
-        return PTableau(grid, content_bound, _trusted=True)
+    @classmethod
+    def _from_rows(cls, rows_values, content_bound: int) -> "PTableau":
+        """The canonical ptableau with the given (trusted) per-row contents."""
+        grid = _pack_rows(rows_values, len(rows_values))
+        return cls(grid, content_bound, _trusted=True)
 
     def row_values(self):
         return _row_values(self.grid)
@@ -409,13 +415,7 @@ class PTableau:
     @classmethod
     def from_text(cls, text: str, content_bound: int | None = None):
         """Parse the one-line-per-row text format; "." marks a blank."""
-        rows = []
-        for line in text.strip().splitlines():
-            row = [
-                None if tok == "." else int(tok) for tok in line.split()
-            ]
-            rows.append(row)
-        return validate_ptableau(rows, content_bound)
+        return validate_ptableau(_grid_from_text(text), content_bound)
 
     def to_text(self) -> str:
         return "\n".join(
@@ -436,7 +436,12 @@ class PTableau:
     @classmethod
     def from_json(cls, text: str):
         obj = json.loads(text)
-        return validate_ptableau(obj["grid"], None)
+        grid = obj.get("grid") if isinstance(obj, dict) else None
+        if not (
+            isinstance(grid, list) and all(isinstance(row, list) for row in grid)
+        ):
+            raise PTableauError('expected a JSON object with a "grid" list of rows')
+        return validate_ptableau(grid, None)
 
 
 def validate_ptableau(grid, content_bound: int | None = None) -> PTableau:
@@ -447,26 +452,20 @@ def validate_ptableau(grid, content_bound: int | None = None) -> PTableau:
     """
     grid = _normalize_grid(grid)
     check_grid(grid)
-    n = len(grid)
-    packed = _pack_rows(_row_values(grid), n)
     max_val = max((v for row in grid for v in row if v is not None), default=0)
     if content_bound is None:
         content_bound = max_val
     elif content_bound < max_val:
         raise ValueError("content_bound below largest value present")
-    return PTableau._make(packed, content_bound)
+    return PTableau._from_rows(_row_values(grid), content_bound)
 
 
 def restrict(tab: PTableau, i: int) -> PTableau:
     """Two-row ptableau of rows i, i+1 (1-based) with blank columns dropped."""
     if not 1 <= i < tab.rows:
         raise ValueError(f"row index {i} out of range")
-    top, bottom = tab.grid[i - 1], tab.grid[i]
-    rows_values = [
-        [v for v in top if v is not None],
-        [v for v in bottom if v is not None],
-    ]
-    return PTableau._make(_pack_rows(rows_values, 2), tab.content_bound)
+    rows_values = _row_values(tab.grid[i - 1 : i + 1])
+    return PTableau._from_rows(rows_values, tab.content_bound)
 
 
 def weight(obj):
@@ -515,10 +514,15 @@ def is_anti_partition_shaped(tab: PTableau) -> bool:
 
 def shape(tab: PTableau):
     """Row-count weight with trailing zeros removed (partition for highest weights)."""
-    w = list(tab.weight())
+    return _trimmed(tab.weight())
+
+
+def _trimmed(w):
+    """``w`` as a tuple without its trailing zeros."""
+    w = tuple(w)
     while w and w[-1] == 0:
-        w.pop()
-    return tuple(w)
+        w = w[:-1]
+    return w
 
 
 def is_yamanouchi(word: Word) -> bool:

@@ -17,10 +17,6 @@ class ColumnStrictViolation(PTableauError):
     """A column's filled cells are not strictly increasing top to bottom."""
 
 
-class BlankColumn(PTableauError):
-    """An all-blank column was found where one is not permitted."""
-
-
 class DimensionMismatch(PTableauError):
     """Two grids that must share dimensions do not."""
 

@@ -2,7 +2,7 @@
 algorithms computing commutators of highest weight tensor products."""
 from __future__ import annotations
 
-from .core import PTableau, _pack_rows, is_partition_shaped
+from .core import PTableau, is_partition_shaped
 from .errors import (
     InternalInvariantError,
     NotHighestWeight,
@@ -13,10 +13,6 @@ from .operators import rotate
 from .tensor import tensor
 
 
-def _mutable(grid):
-    return [list(row) for row in grid]
-
-
 def inward_slide_step(grid, pos):
     """One inward slide of the blank at ``pos``.
 
@@ -24,7 +20,7 @@ def inward_slide_step(grid, pos):
     b >= c, otherwise with c; a single content neighbor is taken; with
     neither the blank is fixed.  Returns (grid, new position).
     """
-    grid = _mutable(grid)
+    grid = [list(row) for row in grid]
     r, c = pos
     above = grid[r - 1][c] if r > 0 else None
     left = grid[r][c - 1] if c > 0 else None
@@ -93,8 +89,7 @@ def evacuate_with_paths(tab: PTableau):
         grid, path = _run_blank(grid, corners[0])
         paths.append(path)
     rows_values = [[v for v in row if v is not None] for row in grid]
-    out = PTableau._make(_pack_rows(rows_values, tab.rows), tab.content_bound)
-    return out, paths
+    return PTableau._from_rows(rows_values, tab.content_bound), paths
 
 
 def evacuate(tab: PTableau) -> PTableau:
@@ -177,10 +172,8 @@ def _split_tensor(product: PTableau, mu_bound: int):
         [v - mu_bound for v in row if v > mu_bound]
         for row in product.row_values()
     ]
-    left = PTableau._make(_pack_rows(left_rows, product.rows), mu_bound)
-    right = PTableau._make(
-        _pack_rows(right_rows, product.rows), product.content_bound - mu_bound
-    )
+    left = PTableau._from_rows(left_rows, mu_bound)
+    right = PTableau._from_rows(right_rows, product.content_bound - mu_bound)
     if not is_partition_shaped(left):
         raise NotHighestWeight("the left tensor factor is not highest weight")
     if tensor(left, right) != product:
@@ -188,8 +181,11 @@ def _split_tensor(product: PTableau, mu_bound: int):
     return left, right
 
 
-def _tagged_grid(product: PTableau, mu_bound: int):
-    return [
+def _push(product: PTableau, mu_bound: int, down: bool):
+    """Shared engine for the two push algorithms; returns (result, states)."""
+    _split_tensor(product, mu_bound)
+    nu_bound = product.content_bound - mu_bound
+    tagged = [
         [
             None
             if v is None
@@ -198,27 +194,6 @@ def _tagged_grid(product: PTableau, mu_bound: int):
         ]
         for row in product.grid
     ]
-
-
-def _assemble(tagged, rows, mu_bound, nu_bound):
-    rows_values = []
-    for row in tagged:
-        vals = []
-        for cell in row:
-            if cell is None:
-                continue
-            tag, v = cell
-            vals.append(v if tag == _NU else v + nu_bound)
-        vals.sort()
-        rows_values.append(vals)
-    return PTableau._make(_pack_rows(rows_values, rows), mu_bound + nu_bound)
-
-
-def _push(product: PTableau, mu_bound: int, down: bool):
-    """Shared engine for the two push algorithms; returns (result, states)."""
-    left, right = _split_tensor(product, mu_bound)
-    nu_bound = product.content_bound - mu_bound
-    tagged = _tagged_grid(product, mu_bound)
     n = product.rows
     states = [tuple(tuple(row) for row in tagged)]
 
@@ -267,7 +242,12 @@ def _push(product: PTableau, mu_bound: int, down: bool):
                 tagged[r][c], tagged[tr][tc] = tagged[tr][tc], tagged[r][c]
                 r, c = tr, tc
                 states.append(tuple(tuple(row) for row in tagged))
-    result = _assemble(tagged, n, mu_bound, nu_bound)
+    # the right factor's content now comes first, the left factor's after it
+    rows_values = [
+        [v if tag == _NU else v + nu_bound for tag, v in filter(None, row)]
+        for row in tagged
+    ]
+    result = PTableau._from_rows(rows_values, mu_bound + nu_bound)
     if not is_partition_shaped(result):
         raise InternalInvariantError("push output is not highest weight")
     return result, states

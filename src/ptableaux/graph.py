@@ -4,9 +4,10 @@ from __future__ import annotations
 import json
 from collections import deque
 
-from .core import ParsedWord, PTableau, Word, weight
+from .core import ParsedWord, PTableau, Word, _trimmed, weight
 from .errors import NotClosed, NotConnected, RankMismatch, SizeLimitExceeded
 from .operators import (
+    _rank,
     is_highest_weight,
     lowering_operator,
     raising_operator,
@@ -21,12 +22,6 @@ def _serialize(node) -> str:
     if isinstance(node, ParsedWord):
         return node.to_text()
     return node.to_text()
-
-
-def _rank(node) -> int:
-    if isinstance(node, PTableau):
-        return node.rows
-    return node.rank
 
 
 class CrystalGraph:
@@ -123,22 +118,17 @@ def decompose(nodes, max_nodes: int = DEFAULT_MAX_NODES):
         comp = _close([seed], max_nodes)
         remaining -= comp
         components.append(_build(comp))
-    components.sort(key=lambda g: (_trimmed_weight(g.weight_label), _serialize(g.highest_weight_node)))
+    components.sort(
+        key=lambda g: (_trimmed(g.weight_label), _serialize(g.highest_weight_node))
+    )
     return components
-
-
-def _trimmed_weight(w):
-    trimmed = list(w)
-    while trimmed and trimmed[-1] == 0:
-        trimmed.pop()
-    return tuple(trimmed)
 
 
 def isomorphic(g1: CrystalGraph, g2: CrystalGraph) -> bool:
     """Connected crystals are isomorphic iff their highest weights agree."""
     if g1.rank != g2.rank:
         raise RankMismatch("graphs have different ranks")
-    return _trimmed_weight(g1.weight_label) == _trimmed_weight(g2.weight_label)
+    return _trimmed(g1.weight_label) == _trimmed(g2.weight_label)
 
 
 def export_dot(graph: CrystalGraph) -> str:

@@ -2,10 +2,15 @@
 
 Word operators follow the convention in which, reading left to right,
 raising acts at the first position achieving the maximal running count and
-lowering at the last.  Ptableau operators are single jeu-de-taquin style
-swaps: raising moves the rightmost "uncovered" entry of row i+1 up into the
-blank above it (computed in the left-justified two-row restriction),
-lowering is the mirror image on right-justified forms.  The two models
+lowering at the last.
+
+A ptableau operator moves one value between rows i and i+1.  Raising takes
+the last entry of row i+1 in the left-justified two-row restriction that
+has a blank above it; lowering takes the first entry of row i in the
+right-justified restriction that has a blank below it.  One copy of that
+value then moves to the other row's content and the result is packed once:
+the canonical form depends only on the content of each row, so where the
+cell lands inside its new row never has to be computed.  The two models
 commute through the word-to-ptableau bijection.
 """
 from __future__ import annotations
@@ -14,7 +19,8 @@ from .core import (
     ParsedWord,
     PTableau,
     Word,
-    _pack_rows,
+    _rotate_grid,
+    _row_values,
     is_anti_partition_shaped,
     is_partition_shaped,
     restrict,
@@ -32,172 +38,96 @@ def _check_index(i: int, rank: int):
 # word operators
 
 
-def _raise_letters(letters, i):
-    """Position to change for raising, or None."""
-    best = None
-    best_j = None
-    cur = 0
-    prev_phi = 0
-    for j, a in enumerate(letters):
-        cur += (1 if a == i + 1 else 0) - prev_phi
-        prev_phi = 1 if a == i else 0
-        if best is None or cur > best:
-            best = cur
-            best_j = j
-    if best is None or best <= 0:
-        return None
-    return best_j
+def _scan(word, i: int, raising: bool):
+    """The bracket scan for index i, shared by the operators and epsilon/phi.
 
-
-def _lower_letters(letters, i):
-    """Position to change for lowering, or None."""
-    best = None
-    best_j = None
-    cur = 0
-    prev_eps = 0
-    for j in range(len(letters) - 1, -1, -1):
+    Raising reads left to right, and the running count at a position is the
+    number of (i+1)'s up to it minus the number of i's strictly before it;
+    lowering reads right to left with i and i+1 swapped.  Returns the plain
+    word, the largest running count (at least 0; it is epsilon_i when
+    raising and phi_i when lowering) and the first position in reading
+    order that reaches it, or None when that count is 0.
+    """
+    if isinstance(word, ParsedWord):
+        word = word.word
+    _check_index(i, word.rank)
+    letters = word.letters
+    if raising:
+        order, plus, minus = range(len(letters)), i + 1, i
+    else:
+        order, plus, minus = range(len(letters) - 1, -1, -1), i, i + 1
+    best, best_j, cur, prev = 0, None, 0, 0
+    for j in order:
         a = letters[j]
-        cur += (1 if a == i else 0) - prev_eps
-        prev_eps = 1 if a == i + 1 else 0
-        if best is None or cur > best:
-            best = cur
-            best_j = j
-    if best is None or best <= 0:
-        return None
-    return best_j
+        cur += (a == plus) - prev
+        prev = a == minus
+        if cur > best:
+            best, best_j = cur, j
+    return word, best, best_j
 
 
 def word_raising(word, i: int):
     """Change the selected i+1 into an i, or None when undefined."""
-    pw = None
-    if isinstance(word, ParsedWord):
-        pw, word = word, word.word
-    _check_index(i, word.rank)
-    j = _raise_letters(word.letters, i)
+    plain, _, j = _scan(word, i, True)
     if j is None:
         return None
-    if word.letters[j] != i + 1:
+    if plain.letters[j] != i + 1:
         raise InternalInvariantError("raising selected a letter that is not i+1")
-    letters = word.letters[:j] + (i,) + word.letters[j + 1 :]
-    out = Word(word.rank, letters)
-    return ParsedWord(out, pw.cuts) if pw is not None else out
+    out = Word(plain.rank, plain.letters[:j] + (i,) + plain.letters[j + 1 :])
+    return ParsedWord(out, word.cuts) if plain is not word else out
 
 
 def word_lowering(word, i: int):
     """Change the selected i into an i+1, or None when undefined."""
-    pw = None
-    if isinstance(word, ParsedWord):
-        pw, word = word, word.word
-    _check_index(i, word.rank)
-    j = _lower_letters(word.letters, i)
+    plain, _, j = _scan(word, i, False)
     if j is None:
         return None
-    if word.letters[j] != i:
+    if plain.letters[j] != i:
         raise InternalInvariantError("lowering selected a letter that is not i")
-    letters = word.letters[:j] + (i + 1,) + word.letters[j + 1 :]
-    out = Word(word.rank, letters)
-    return ParsedWord(out, pw.cuts) if pw is not None else out
+    out = Word(plain.rank, plain.letters[:j] + (i + 1,) + plain.letters[j + 1 :])
+    return ParsedWord(out, word.cuts) if plain is not word else out
 
 
 def word_epsilon(word, i: int) -> int:
-    if isinstance(word, ParsedWord):
-        word = word.word
-    _check_index(i, word.rank)
-    best = 0
-    cur = 0
-    prev_phi = 0
-    for a in word.letters:
-        cur += (1 if a == i + 1 else 0) - prev_phi
-        prev_phi = 1 if a == i else 0
-        best = max(best, cur)
-    return best
+    return _scan(word, i, True)[1]
 
 
 def word_phi(word, i: int) -> int:
-    if isinstance(word, ParsedWord):
-        word = word.word
-    _check_index(i, word.rank)
-    best = 0
-    cur = 0
-    prev_eps = 0
-    for j in range(len(word.letters) - 1, -1, -1):
-        a = word.letters[j]
-        cur += (1 if a == i else 0) - prev_eps
-        prev_eps = 1 if a == i + 1 else 0
-        best = max(best, cur)
-    return best
+    return _scan(word, i, False)[1]
 
 
 # ---------------------------------------------------------------------------
 # ptableau operators
 
 
-def _move_cell(tab: PTableau, from_row: int, ordinal: int, to_row: int, col: int):
-    """Move the ordinal-th content cell of ``from_row`` into ``to_row`` at the
-    slot determined by ``col``, then re-canonicalize (rows are 0-based)."""
+def _moved(tab: PTableau, value: int, from_row: int, to_row: int) -> PTableau:
+    """Move one copy of ``value`` between the 0-based rows, re-canonicalized."""
     rows_values = tab.row_values()
-    value = rows_values[from_row].pop(ordinal)
-    dest_pos = sum(1 for c in range(col) if tab.grid[to_row][c] is not None)
-    rows_values[to_row].insert(dest_pos, value)
-    return PTableau._make(_pack_rows(rows_values, tab.rows), tab.content_bound)
+    rows_values[from_row].remove(value)
+    rows_values[to_row].append(value)
+    return PTableau._from_rows(rows_values, tab.content_bound)
 
 
 def ptab_raising(tab: PTableau, i: int):
-    """Swap the rightmost uncovered entry of row i+1 with the blank above."""
+    """Move the last entry of row i+1 of the restriction with a blank above
+    it into row i."""
     _check_index(i, tab.rows)
-    two = restrict(tab, i)
-    ordinal = None
-    seen = -1
-    for c in range(two.cols):
-        if two.grid[1][c] is not None:
-            seen += 1
-            if two.grid[0][c] is None:
-                ordinal = seen
-    if ordinal is None:
-        return None
-    count = -1
-    for col in range(tab.cols):
-        if tab.grid[i][col] is not None:
-            count += 1
-            if count == ordinal:
-                if tab.grid[i - 1][col] is not None:
-                    raise InternalInvariantError("target cell is covered")
-                return _move_cell(tab, i, ordinal, i - 1, col)
-    raise InternalInvariantError("restricted cell missing from tableau")
+    top, bottom = restrict(tab, i).grid
+    for a, b in zip(reversed(top), reversed(bottom)):
+        if a is None and b is not None:
+            return _moved(tab, b, i, i - 1)
+    return None
 
 
 def ptab_lowering(tab: PTableau, i: int):
-    """Swap the leftmost entry of row i with a blank below, in right-justified
-    coordinates."""
+    """Move the first entry of row i of the right-justified restriction with
+    a blank below it into row i+1."""
     _check_index(i, tab.rows)
-    two_star = right_justify(restrict(tab, i).grid)
-    ordinal = None
-    seen = -1
-    for c in range(len(two_star[0]) if two_star else 0):
-        if two_star[0][c] is not None:
-            seen += 1
-            if two_star[1][c] is None and ordinal is None:
-                ordinal = seen
-    if ordinal is None:
-        return None
-    star = right_justify(tab.grid)
-    count = -1
-    for col in range(tab.cols):
-        if star[i - 1][col] is not None:
-            count += 1
-            if count == ordinal:
-                if star[i][col] is not None:
-                    raise InternalInvariantError("target cell has content below")
-                rows_values = [
-                    [v for v in row if v is not None] for row in star
-                ]
-                value = rows_values[i - 1].pop(ordinal)
-                dest = sum(1 for c in range(col) if star[i][c] is not None)
-                rows_values[i].insert(dest, value)
-                return PTableau._make(
-                    _pack_rows(rows_values, tab.rows), tab.content_bound
-                )
-    raise InternalInvariantError("restricted cell missing from tableau")
+    top, bottom = right_justify(restrict(tab, i).grid)
+    for a, b in zip(top, bottom):
+        if a is not None and b is None:
+            return _moved(tab, a, i - 1, i)
+    return None
 
 
 def ptab_epsilon(tab: PTableau, i: int) -> int:
@@ -216,6 +146,10 @@ def ptab_phi(tab: PTableau, i: int) -> int:
 
 # ---------------------------------------------------------------------------
 # dispatch over both models
+
+
+def _rank(obj) -> int:
+    return obj.rows if isinstance(obj, PTableau) else obj.rank
 
 
 def raising_operator(obj, i: int):
@@ -242,20 +176,12 @@ def phi(obj, i: int) -> int:
     return word_phi(obj, i)
 
 
-def _rank_of(obj) -> int:
-    if isinstance(obj, PTableau):
-        return obj.rows
-    if isinstance(obj, ParsedWord):
-        return obj.rank
-    return obj.rank
-
-
 def is_highest_weight(obj) -> bool:
     """All raising operators return None; for ptableaux, partition shaped."""
     if isinstance(obj, PTableau):
         return is_partition_shaped(obj)
     return all(
-        word_raising(obj, i) is None for i in range(1, _rank_of(obj))
+        word_raising(obj, i) is None for i in range(1, obj.rank)
     )
 
 
@@ -263,8 +189,24 @@ def is_lowest_weight(obj) -> bool:
     if isinstance(obj, PTableau):
         return is_anti_partition_shaped(obj)
     return all(
-        word_lowering(obj, i) is None for i in range(1, _rank_of(obj))
+        word_lowering(obj, i) is None for i in range(1, obj.rank)
     )
+
+
+def _exhaust(obj, op):
+    """Apply ``op`` (smallest defined index first) until no index applies."""
+    seq = []
+    rank = _rank(obj)
+    i = 1
+    while i < rank:
+        nxt = op(obj, i)
+        if nxt is None:
+            i += 1
+        else:
+            obj = nxt
+            seq.append(i)
+            i = 1
+    return obj, tuple(seq)
 
 
 def to_highest_weight(obj):
@@ -272,36 +214,12 @@ def to_highest_weight(obj):
 
     Returns the highest weight element and the index sequence applied.
     """
-    seq = []
-    rank = _rank_of(obj)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(1, rank):
-            nxt = raising_operator(obj, i)
-            if nxt is not None:
-                obj = nxt
-                seq.append(i)
-                changed = True
-                break
-    return obj, tuple(seq)
+    return _exhaust(obj, raising_operator)
 
 
 def to_lowest_weight(obj):
     """Apply lowering operators (smallest index first) to exhaustion."""
-    seq = []
-    rank = _rank_of(obj)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(1, rank):
-            nxt = lowering_operator(obj, i)
-            if nxt is not None:
-                obj = nxt
-                seq.append(i)
-                changed = True
-                break
-    return obj, tuple(seq)
+    return _exhaust(obj, lowering_operator)
 
 
 # ---------------------------------------------------------------------------
@@ -310,13 +228,8 @@ def to_lowest_weight(obj):
 
 def rotate(tab: PTableau) -> PTableau:
     """180-degree rotation with content t replaced by bound + 1 - t."""
-    bound = tab.content_bound
-    rotated = tuple(
-        tuple(None if v is None else bound + 1 - v for v in reversed(row))
-        for row in reversed(tab.grid)
-    )
-    rows_values = [[v for v in row if v is not None] for row in rotated]
-    return PTableau._make(_pack_rows(rows_values, tab.rows), bound)
+    rotated = _rotate_grid(tab.grid, tab.content_bound)
+    return PTableau._from_rows(_row_values(rotated), tab.content_bound)
 
 
 def rotate_word(word):

@@ -6,7 +6,7 @@ from .core import (
     ParsedWord,
     PTableau,
     Word,
-    _pack_rows,
+    _trimmed,
     is_partition_shaped,
     shape,
 )
@@ -34,8 +34,7 @@ def tensor(left: PTableau, right: PTableau) -> PTableau:
         lrow + [v + offset for v in rrow]
         for lrow, rrow in zip(left.row_values(), right.row_values())
     ]
-    grid = _pack_rows(rows_values, left.rows)
-    return PTableau._make(grid, offset + right.content_bound)
+    return PTableau._from_rows(rows_values, offset + right.content_bound)
 
 
 def is_highest_weight_tensor(left: PTableau, right: PTableau) -> bool:
@@ -53,7 +52,7 @@ def highest_weight_ptableau(parts, rows: int | None = None) -> PTableau:
         raise ShapeError("rows below partition length")
     rows_values = [[i + 1] * parts[i] if i < len(parts) else [] for i in range(n)]
     bound = sum(1 for p in parts if p > 0)
-    return PTableau._make(_pack_rows(rows_values, n), bound)
+    return PTableau._from_rows(rows_values, bound)
 
 
 def satisfies_word_condition(tab: PTableau) -> bool:
@@ -258,7 +257,4 @@ def lr_table(graph_mu: CrystalGraph, graph_nu: CrystalGraph):
 
 def lr_coefficient(graph_mu: CrystalGraph, graph_nu: CrystalGraph, lam) -> int:
     """Multiplicity of the lam-irreducible inside mu-component (x) nu-component."""
-    lam = tuple(lam)
-    while lam and lam[-1] == 0:
-        lam = lam[:-1]
-    return lr_table(graph_mu, graph_nu).get(lam, 0)
+    return lr_table(graph_mu, graph_nu).get(_trimmed(lam), 0)

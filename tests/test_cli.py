@@ -93,6 +93,14 @@ class TestConvert:
         )
         assert code == 1 and "error" in err
 
+    def test_ptab_json_without_grid_list_is_exit_1(self, capsys):
+        for bad in ('{}', '{"grid": 5}', '{"grid": [5]}', '[1, 2]'):
+            code, out, err = run(
+                capsys, "convert", "--from", "ptab", "--to", "word", bad
+            )
+            assert code == 1 and out == ""
+            assert err.startswith("error: ")
+
 
 class TestApply:
     def test_raising_on_ptableau(self, capsys):

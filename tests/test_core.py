@@ -25,6 +25,7 @@ from ptableaux.errors import (
     ColumnStrictViolation,
     DimensionMismatch,
     InvalidParsing,
+    PTableauError,
     ShadowViolation,
     StripViolation,
 )
@@ -43,6 +44,10 @@ class TestWordsAndParsings:
     def test_letters_validated(self):
         with pytest.raises(ValueError):
             Word(2, (3,))
+
+    def test_bool_letters_rejected(self):
+        with pytest.raises(ValueError):
+            Word(2, [True, 2])
 
     def test_parsed_word_factors(self):
         pw = ParsedWord.from_text("21|22|331|331")
@@ -341,3 +346,8 @@ class TestTextFormats:
     def test_json_roundtrip(self):
         t = ptableau_from_word(ParsedWord.from_text("21|22|331|331"))
         assert PTableau.from_json(t.to_json()).grid == t.grid
+
+    def test_json_without_grid_list_is_typed_error(self):
+        for bad in ("{}", '{"grid": 5}', '{"grid": [5]}', "[1, 2]", "3"):
+            with pytest.raises(PTableauError):
+                PTableau.from_json(bad)

@@ -154,12 +154,34 @@ class TestCommutation:
     def test_non_minimal_parsings_commute_too(self):
         from ptableaux import all_parsings
 
-        for w in all_words(3, 4):
-            for pw in all_parsings(w):
+        def with_empty_factors(pw):
+            """Trailing empty factors leave content_bound above every value
+            present; leading and doubled cuts leave gaps below it."""
+            k = len(pw.word)
+            yield ParsedWord(pw.word, pw.cuts + (k,))
+            yield ParsedWord(pw.word, pw.cuts + (k, k))
+            yield ParsedWord(pw.word, (0,) + pw.cuts)
+            if pw.cuts:
+                yield ParsedWord(pw.word, (pw.cuts[0],) + pw.cuts)
+
+        parsings = [pw for w in all_words(3, 4) for pw in all_parsings(w)]
+        gapped = [qw for pw in parsings for qw in with_empty_factors(pw)]
+        assert any(
+            ptableau_from_word(qw).content_bound
+            > ptableau_from_word(qw).max_value()
+            for qw in gapped
+        )
+        for inputs, wop, top in (
+            (parsings, word_raising, ptab_raising),
+            (parsings, word_lowering, ptab_lowering),
+            (gapped, word_raising, ptab_raising),
+            (gapped, word_lowering, ptab_lowering),
+        ):
+            for pw in inputs:
                 t = ptableau_from_word(pw)
                 for i in (1, 2):
-                    wimg = word_raising(pw, i)
-                    timg = ptab_raising(t, i)
+                    wimg = wop(pw, i)
+                    timg = top(t, i)
                     if wimg is None:
                         assert timg is None
                     else:
