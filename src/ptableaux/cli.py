@@ -206,6 +206,13 @@ def cmd_crystal(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    # rank**length, with the exponent clipped where it already exceeds the
+    # cap, so a huge --length is refused without computing a huge power
+    count = args.rank ** min(args.length, args.max_nodes.bit_length() + 1)
+    if count > args.max_nodes:
+        raise SizeLimitExceeded(
+            f"{args.rank}**{args.length} words exceed --max-nodes {args.max_nodes}"
+        )
     comps = decompose(
         words_closure(args.rank, args.length), max_nodes=args.max_nodes
     )
@@ -362,7 +369,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="decompose all words of a given length")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--length", type=int, required=True)
-    p.add_argument("--max-nodes", type=int, default=10**6)
+    p.add_argument(
+        "--max-nodes",
+        type=int,
+        default=10**6,
+        help="refuse sizes with more than this many words (rank**length)",
+    )
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_decompose)
 

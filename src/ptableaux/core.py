@@ -202,8 +202,8 @@ def _normalize_grid(grid):
                 raise DimensionMismatch("grid is not rectangular")
     for row in rows:
         for cell in row:
-            if cell is not None and (not isinstance(cell, int) or cell < 1):
-                raise ValueError(f"bad cell {cell!r}")
+            if cell is not None and (type(cell) is not int or cell < 1):
+                raise PTableauError(f"bad cell {cell!r}")  # bool is not a cell
     return tuple(rows)
 
 
@@ -213,10 +213,13 @@ def _row_values(grid):
 
 def _grid_from_text(text: str):
     """Rows of the one-line-per-row text format; "." marks a blank."""
-    return [
-        [None if tok == "." else int(tok) for tok in line.split()]
-        for line in text.strip().splitlines()
-    ]
+    try:
+        return [
+            [None if tok == "." else int(tok) for tok in line.split()]
+            for line in text.strip().splitlines()
+        ]
+    except ValueError as exc:
+        raise PTableauError(str(exc)) from exc
 
 
 def _pack_rows(rows_values, n_rows: int):
@@ -435,7 +438,10 @@ class PTableau:
 
     @classmethod
     def from_json(cls, text: str):
-        obj = json.loads(text)
+        try:
+            obj = json.loads(text)
+        except ValueError as exc:
+            raise PTableauError(str(exc)) from exc
         grid = obj.get("grid") if isinstance(obj, dict) else None
         if not (
             isinstance(grid, list) and all(isinstance(row, list) for row in grid)

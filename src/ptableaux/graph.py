@@ -1,4 +1,9 @@
-"""Connected crystal components, decomposition, isomorphism, export."""
+"""Connected crystal components, decomposition, isomorphism, export.
+
+Closures are single pass: every operator is applied once per node, each
+edge is recorded as it is found and the highest weight is met on the way,
+so a graph is never re-scanned for its edges or its highest weight.
+"""
 from __future__ import annotations
 
 import json
@@ -11,6 +16,7 @@ from .operators import (
     is_highest_weight,
     lowering_operator,
     raising_operator,
+    to_lowest_weight,
 )
 
 DEFAULT_MAX_NODES = 10**6
@@ -34,19 +40,21 @@ class CrystalGraph:
 
     __slots__ = ("nodes", "edges", "highest_weight_node", "weight_label", "rank")
 
-    def __init__(self, nodes, edges):
+    def __init__(self, nodes, edges, _highest_weight=None):
         nodes = tuple(nodes)
         if not nodes:
             raise NotConnected("empty crystal graph")
         self.nodes = nodes
         self.edges = tuple(edges)
         self.rank = _rank(nodes[0])
-        hw = [u for u in nodes if is_highest_weight(u)]
-        if len(hw) != 1:
-            raise NotConnected(
-                f"expected a unique highest weight node, found {len(hw)}"
-            )
-        self.highest_weight_node = hw[0]
+        if _highest_weight is None:  # a closure passes the one it found
+            hw = [u for u in nodes if is_highest_weight(u)]
+            if len(hw) != 1:
+                raise NotConnected(
+                    f"expected a unique highest weight node, found {len(hw)}"
+                )
+            _highest_weight = hw[0]
+        self.highest_weight_node = _highest_weight
         self.weight_label = weight(self.highest_weight_node)
 
     def __len__(self):
@@ -61,63 +69,110 @@ class CrystalGraph:
         )
 
 
-def _close(seeds, max_nodes: int):
-    seen = set(seeds)
-    queue = deque(seen)
-    rank = _rank(next(iter(seen)))
+def _raise_closure(seed, max_nodes: int):
+    """Breadth-first search by raising operators from the lowest weight,
+    which reaches every node because every node lowers to it.
+
+    A hit e_i(v) = u is the edge u -f_i-> v.  Returns the edges as
+    ``{u: [(i, f_i(u)), ...]}`` over every node, and the nodes on which
+    no e_i applies.
+    """
+    low, _ = to_lowest_weight(seed)
+    rank = _rank(low)
+    down = {low: []}
+    tops = []
+    queue = deque([low])
     while queue:
-        u = queue.popleft()
+        v = queue.popleft()
+        top = True
         for i in range(1, rank):
-            for op in (raising_operator, lowering_operator):
-                v = op(u, i)
-                if v is not None and v not in seen:
-                    seen.add(v)
-                    if len(seen) > max_nodes:
-                        raise SizeLimitExceeded(
-                            f"component exceeds {max_nodes} nodes"
-                        )
-                    queue.append(v)
-    return seen
+            u = raising_operator(v, i)
+            if u is None:
+                continue
+            top = False
+            out = down.get(u)
+            if out is None:
+                if len(down) >= max_nodes:
+                    raise SizeLimitExceeded(f"component exceeds {max_nodes} nodes")
+                out = down[u] = []
+                queue.append(u)
+            out.append((i, v))
+        if top:
+            tops.append(v)
+    return down, tops
 
 
-def _build(nodes) -> CrystalGraph:
-    rank = _rank(next(iter(nodes)))
-    ordered = sorted(nodes, key=_serialize)
-    edges = []
-    for u in ordered:
-        for i in range(1, rank):
-            v = lowering_operator(u, i)
-            if v is not None:
-                edges.append((u, i, v))
-    return CrystalGraph(ordered, edges)
+def _build(down, top) -> CrystalGraph:
+    """The graph of the edges ``down`` (as found by a closure) whose
+    highest weight node is ``top``; nodes in serialized order, edges in
+    node order and then by index."""
+    ordered = sorted(down, key=_serialize)
+    edges = [(u, i, v) for u in ordered for i, v in sorted(down[u])]
+    return CrystalGraph(ordered, edges, _highest_weight=top)
 
 
 def component(seed, max_nodes: int = DEFAULT_MAX_NODES) -> CrystalGraph:
-    """Breadth-first closure of a single node under all e_i and f_i."""
-    return _build(_close([seed], max_nodes))
+    """The connected component of ``seed``.
+
+    The seed is lowered to its lowest weight, and one breadth-first search
+    by raising operators from there finds every node and every edge once
+    each; the node on which no e_i applies is the highest weight.
+    """
+    down, tops = _raise_closure(seed, max_nodes)
+    if len(tops) != 1:
+        raise NotConnected(
+            f"expected a unique highest weight node, found {len(tops)}"
+        )
+    return _build(down, tops[0])
 
 
 def decompose(nodes, max_nodes: int = DEFAULT_MAX_NODES):
-    """Partition an operator-closed node set into connected components."""
+    """Partition an operator-closed node set into connected components.
+
+    One pass applies every e_i and f_i to every node: it checks that the
+    set is closed, records the f-edges and finds the highest weights.  Each
+    component is then a breadth-first search over the recorded edges from
+    its highest weight, with no further operator calls.
+    """
     node_set = set(nodes)
     if not node_set:
         return []
     rank = _rank(next(iter(node_set)))
+    down = {}
+    tops = []
     for u in node_set:
+        out = down[u] = []
+        top = True
         for i in range(1, rank):
-            for op in (raising_operator, lowering_operator):
-                v = op(u, i)
-                if v is not None and v not in node_set:
+            up = raising_operator(u, i)
+            v = lowering_operator(u, i)
+            for w in (up, v):
+                if w is not None and w not in node_set:
                     raise NotClosed(
-                        f"operator image {_serialize(v)} leaves the node set"
+                        f"operator image {_serialize(w)} leaves the node set"
                     )
+            if up is not None:
+                top = False
+            if v is not None:
+                out.append((i, v))
+        if top:
+            tops.append(u)
     components = []
-    remaining = set(node_set)
-    while remaining:
-        seed = next(iter(remaining))
-        comp = _close([seed], max_nodes)
-        remaining -= comp
-        components.append(_build(comp))
+    for top in tops:
+        comp = {top: down[top]}
+        queue = deque([top])
+        while queue:
+            for _, v in down[queue.popleft()]:
+                if v not in comp:
+                    if len(comp) >= max_nodes:
+                        raise SizeLimitExceeded(
+                            f"component exceeds {max_nodes} nodes"
+                        )
+                    comp[v] = down[v]
+                    queue.append(v)
+        components.append(_build(comp, top))
+    if sum(len(g) for g in components) != len(node_set):
+        raise NotConnected("node set is not a union of crystal components")
     components.sort(
         key=lambda g: (_trimmed(g.weight_label), _serialize(g.highest_weight_node))
     )

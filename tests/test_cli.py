@@ -173,6 +173,20 @@ class TestGraphCommands:
         assert code == 0
         assert "components: 4" in out
 
+    def test_decompose_cap_applies_before_enumeration(self, capsys, monkeypatch):
+        import ptableaux.cli
+
+        calls = []
+        monkeypatch.setattr(
+            ptableaux.cli, "words_closure", lambda *a: calls.append(a) or []
+        )
+        code, out, err = run(
+            capsys, "decompose", "--rank", "3", "--length", "4",
+            "--max-nodes", "50",
+        )
+        assert code == 1 and err.startswith("error: ") and out == ""
+        assert calls == []
+
     def test_lr_with_verify(self, capsys):
         code, out, _ = run(
             capsys, "lr", "--mu", "2,1", "--nu", "2,1",

@@ -351,3 +351,20 @@ class TestTextFormats:
         for bad in ("{}", '{"grid": 5}', '{"grid": [5]}', "[1, 2]", "3"):
             with pytest.raises(PTableauError):
                 PTableau.from_json(bad)
+
+    def test_bool_cells_rejected(self):
+        with pytest.raises(PTableauError):
+            PTableau.from_json('{"grid": [[true, 2]]}')
+        with pytest.raises(PTableauError):
+            validate_ptableau([[1, True]])
+
+    def test_parse_errors_are_typed(self):
+        for text in ("1 x", "1 .\n2 2.5"):
+            with pytest.raises(PTableauError):
+                PTableau.from_text(text)
+        for text in ("{bad", ""):
+            with pytest.raises(PTableauError):
+                PTableau.from_json(text)
+        for cell in (1.5, 0, -2, "1"):
+            with pytest.raises(PTableauError):
+                PTableau([[cell]])

@@ -1,7 +1,9 @@
 """Crystal components, decomposition, isomorphism, exports."""
 import json
+from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import partitions, ssyt_count, syt_count
 from ptableaux import (
@@ -11,11 +13,15 @@ from ptableaux import (
     decompose,
     export_dot,
     export_json,
+    is_highest_weight,
     isomorphic,
+    lowering_operator,
     minimal_parsing,
     ptableau_from_word,
+    raising_operator,
     rsk,
     biword_from_parsed,
+    weight,
     words_closure,
 )
 from ptableaux.errors import NotClosed, NotConnected, SizeLimitExceeded
@@ -71,6 +77,74 @@ class TestComponent:
         for u, i, v in g.edges:
             assert lowering_operator(u, i) == v
             assert raising_operator(v, i) == u
+
+
+def _key(node):
+    return node.to_text().replace("\n", "/")
+
+
+def _parts(g):
+    return g.nodes, g.edges, g.highest_weight_node
+
+
+def reference_closure(seed):
+    """Nodes, edges and highest weight of ``seed``'s component, found by a
+    breadth-first search under every e_i and f_i."""
+    rank = seed.rows if hasattr(seed, "rows") else seed.rank
+    seen = {seed}
+    queue = deque(seen)
+    while queue:
+        u = queue.popleft()
+        for i in range(1, rank):
+            for v in (raising_operator(u, i), lowering_operator(u, i)):
+                if v is not None and v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+    nodes = tuple(sorted(seen, key=_key))
+    edges = tuple(
+        (u, i, lowering_operator(u, i))
+        for u in nodes
+        for i in range(1, rank)
+        if lowering_operator(u, i) is not None
+    )
+    (top,) = [u for u in nodes if is_highest_weight(u)]
+    return nodes, edges, top
+
+
+@st.composite
+def seeds(draw):
+    """A random word, its ptableau, or the ptableau of a parsing with extra
+    (possibly empty) factors."""
+    rank = draw(st.integers(2, 5))
+    letters = draw(st.lists(st.integers(1, rank), max_size=6))
+    word = Word(rank, letters)
+    kind = draw(st.sampled_from(["word", "ptableau", "cuts"]))
+    if kind == "word":
+        return word
+    if kind == "ptableau":
+        return ptableau_from_word(minimal_parsing(word))
+    extra = draw(st.lists(st.integers(0, len(letters)), min_size=1, max_size=3))
+    cuts = sorted(minimal_parsing(word).cuts + tuple(extra))
+    return ptableau_from_word(ParsedWord(word, cuts))
+
+
+class TestClosureProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(seeds())
+    def test_component_matches_reference_closure(self, seed):
+        assert _parts(component(seed)) == reference_closure(seed)
+
+    @pytest.mark.parametrize("n,k", [(2, 5), (3, 3), (3, 4), (4, 2), (4, 3)])
+    def test_decompose_is_component_of_each_highest_weight(self, n, k):
+        def trimmed(w):
+            return tuple(p for p in w if p)
+
+        tops = sorted(
+            (w for w in words_closure(n, k) if is_highest_weight(w)),
+            key=lambda w: (trimmed(weight(w)), _key(w)),
+        )
+        comps = decompose(words_closure(n, k))
+        assert [_parts(g) for g in comps] == [_parts(component(t)) for t in tops]
 
 
 class TestDecompose:
