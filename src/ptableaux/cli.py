@@ -213,6 +213,11 @@ def cmd_decompose(args) -> int:
         raise SizeLimitExceeded(
             f"{args.rank}**{args.length} words exceed --max-nodes {args.max_nodes}"
         )
+    # ranks 0 and 1 have at most one word, however long: cap its letters too
+    if args.length > args.max_nodes:
+        raise SizeLimitExceeded(
+            f"words of {args.length} letters exceed --max-nodes {args.max_nodes}"
+        )
     comps = decompose(
         words_closure(args.rank, args.length), max_nodes=args.max_nodes
     )

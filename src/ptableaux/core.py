@@ -13,7 +13,11 @@ hold a positive integer or are blank, subject to:
 
 Ptableaux are considered up to row equivalence (sliding content past
 blanks within a row).  Every class has a unique left-justified member,
-which is what :class:`PTableau` stores.
+which is what :class:`PTableau` stores.  It depends only on the content of
+each row: reading the cells as the tableau's word (values in increasing
+order, each value's cells from the bottom row up), each cell's column is
+the length of the longest weakly decreasing subword ending at its letter,
+less one, so packing places every cell directly.
 """
 from __future__ import annotations
 
@@ -29,6 +33,18 @@ from .errors import (
     StripViolation,
 )
 
+
+def _letters_from_text(text: str):
+    """Letters of "2122" (single digits) or "2,1,2,2" (comma separated)."""
+    text = text.strip()
+    try:
+        if "," in text:
+            return [int(t) for t in text.split(",") if t.strip()]
+        return [int(ch) for ch in text]
+    except ValueError as exc:
+        raise PTableauError(str(exc)) from exc
+
+
 class Word:
     """A word over the alphabet [n] = {1, ..., n}."""
 
@@ -37,12 +53,20 @@ class Word:
     def __init__(self, rank: int, letters):
         letters = tuple(letters)
         if rank < 0:
-            raise ValueError("rank must be non-negative")
+            raise PTableauError("rank must be non-negative")
         for a in letters:
             if type(a) is not int or not 1 <= a <= rank:  # bool is not a letter
-                raise ValueError(f"letter {a!r} outside alphabet [1..{rank}]")
+                raise PTableauError(f"letter {a!r} outside alphabet [1..{rank}]")
         self.rank = rank
         self.letters = letters
+
+    @classmethod
+    def _from_letters(cls, rank: int, letters: tuple) -> "Word":
+        """The word of a tuple of letters already known to lie in [1..rank]."""
+        word = object.__new__(cls)
+        word.rank = rank
+        word.letters = letters
+        return word
 
     def __len__(self):
         return len(self.letters)
@@ -69,13 +93,7 @@ class Word:
     @classmethod
     def from_text(cls, text: str, rank: int | None = None) -> "Word":
         """Parse "2122331331" (single digits) or "2,1,2,2" (comma separated)."""
-        text = text.strip()
-        if not text:
-            letters = []
-        elif "," in text:
-            letters = [int(t) for t in text.split(",") if t.strip()]
-        else:
-            letters = [int(ch) for ch in text]
+        letters = _letters_from_text(text)
         if rank is None:
             rank = max(letters, default=0)
         return cls(rank, letters)
@@ -153,15 +171,7 @@ class ParsedWord:
     @classmethod
     def from_text(cls, text: str, rank: int | None = None) -> "ParsedWord":
         """Parse "21|22|331|331"; "||" denotes an empty factor."""
-        factors = []
-        for piece in text.strip().split("|"):
-            piece = piece.strip()
-            if not piece:
-                factors.append([])
-            elif "," in piece:
-                factors.append([int(t) for t in piece.split(",") if t.strip()])
-            else:
-                factors.append([int(ch) for ch in piece])
+        factors = [_letters_from_text(piece) for piece in text.split("|")]
         if rank is None:
             rank = max((a for f in factors for a in f), default=0)
         return cls._from_factors(rank, factors)
@@ -225,50 +235,30 @@ def _grid_from_text(text: str):
 def _pack_rows(rows_values, n_rows: int):
     """Left-justified canonical grid realizing the given per-row content.
 
-    Values are placed in increasing order, within each value bottom row
-    first, each cell as far left as the ptableau conditions allow.  For
-    valid inputs this is the unique left-justified class representative.
+    The cells are read as the tableau's word: values in increasing order,
+    each value's cells from the bottom row up, so a cell in row r is one
+    letter r.  By the width law a cell's column is the length of the
+    longest weakly decreasing subword ending at its letter, less one: the
+    first column right of every earlier cell in its row or below, which
+    ``reach[r]`` keeps.
     """
-    placed: dict = {}
-    col_next = [0] * n_rows
-    right_small = [-1] * n_rows  # rightmost placed column of smaller values
-    values = sorted({v for row in rows_values for v in row})
-    for v in values:
-        suffix = [-1] * (n_rows + 1)
-        for r in range(n_rows - 1, -1, -1):
-            suffix[r] = max(suffix[r + 1], right_small[r])
-        frontier = 0
-        new_cells = []
-        for r in range(n_rows - 1, -1, -1):
-            for _ in range(rows_values[r].count(v)):
-                c = max(col_next[r], frontier, suffix[r] + 1)
-                while True:
-                    ok = True
-                    for ri in range(r - 1, -1, -1):
-                        above = placed.get((ri, c))
-                        if above is not None:
-                            ok = above < v
-                            break
-                    if ok:
-                        for ri in range(r + 1, n_rows):
-                            below = placed.get((ri, c))
-                            if below is not None:
-                                ok = below > v
-                                break
-                    if ok:
-                        break
-                    c += 1
-                placed[(r, c)] = v
-                new_cells.append((r, c))
-                col_next[r] = c + 1
-                frontier = c + 1
-        for r, c in new_cells:
-            if c > right_small[r]:
-                right_small[r] = c
-    width = 1 + max((c for (_, c) in placed), default=-1)
-    return tuple(
-        tuple(placed.get((r, c)) for c in range(width)) for r in range(n_rows)
-    )
+    reach = [0] * n_rows
+    cells = [[] for _ in range(n_rows)]
+    for v, r in sorted((v, -r) for r, row in enumerate(rows_values) for v in row):
+        r = -r
+        c = reach[r]
+        cells[r].append((c, v))
+        while r >= 0 and reach[r] == c:  # reach falls weakly down the rows
+            reach[r] = c + 1
+            r -= 1
+    width = reach[0] if n_rows else 0
+    grid = []
+    for row_cells in cells:
+        row = [None] * width
+        for c, v in row_cells:
+            row[c] = v
+        grid.append(tuple(row))
+    return tuple(grid)
 
 
 def left_justify(grid):
@@ -364,20 +354,21 @@ class PTableau:
 
     __slots__ = ("rows", "cols", "grid", "content_bound")
 
-    def __init__(self, grid, content_bound: int | None = None, _trusted=False):
-        if not _trusted:
-            other = validate_ptableau(grid, content_bound)
-            grid, content_bound = other.grid, other.content_bound
-        self.grid = grid
-        self.rows = len(grid)
-        self.cols = len(grid[0]) if grid and grid[0] else 0
-        self.content_bound = content_bound
+    def __init__(self, grid, content_bound: int | None = None):
+        other = validate_ptableau(grid, content_bound)
+        for name in self.__slots__:
+            setattr(self, name, getattr(other, name))
 
     @classmethod
     def _from_rows(cls, rows_values, content_bound: int) -> "PTableau":
-        """The canonical ptableau with the given (trusted) per-row contents."""
-        grid = _pack_rows(rows_values, len(rows_values))
-        return cls(grid, content_bound, _trusted=True)
+        """The canonical ptableau with the given (trusted) per-row contents;
+        the one constructor that skips validation."""
+        tab = object.__new__(cls)
+        tab.grid = grid = _pack_rows(rows_values, len(rows_values))
+        tab.rows = len(grid)
+        tab.cols = len(grid[0]) if grid and grid[0] else 0
+        tab.content_bound = content_bound
+        return tab
 
     def row_values(self):
         return _row_values(self.grid)
@@ -462,7 +453,7 @@ def validate_ptableau(grid, content_bound: int | None = None) -> PTableau:
     if content_bound is None:
         content_bound = max_val
     elif content_bound < max_val:
-        raise ValueError("content_bound below largest value present")
+        raise PTableauError("content_bound below largest value present")
     return PTableau._from_rows(_row_values(grid), content_bound)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from collections import deque
 
-from .core import ParsedWord, PTableau, Word, _trimmed, weight
+from .core import PTableau, Word, _trimmed, weight
 from .errors import NotClosed, NotConnected, RankMismatch, SizeLimitExceeded
 from .operators import (
     _rank,
@@ -25,8 +25,6 @@ DEFAULT_MAX_NODES = 10**6
 def _serialize(node) -> str:
     if isinstance(node, PTableau):
         return node.to_text().replace("\n", "/")
-    if isinstance(node, ParsedWord):
-        return node.to_text()
     return node.to_text()
 
 

@@ -1,17 +1,17 @@
 """Crystal raising/lowering operators on words and ptableaux.
 
-Word operators follow the convention in which, reading left to right,
-raising acts at the first position achieving the maximal running count and
-lowering at the last.
+Both models run one bracket scan.  Reading left to right, raising acts at
+the first position achieving the maximal running count and lowering at the
+last.
 
-A ptableau operator moves one value between rows i and i+1.  Raising takes
-the last entry of row i+1 in the left-justified two-row restriction that
-has a blank above it; lowering takes the first entry of row i in the
-right-justified restriction that has a blank below it.  One copy of that
-value then moves to the other row's content and the result is packed once:
-the canonical form depends only on the content of each row, so where the
-cell lands inside its new row never has to be computed.  The two models
-commute through the word-to-ptableau bijection.
+A ptableau is read through its word: value s, taken from the bottom row
+up, contributes (i+1)^{b_s} i^{a_s} to the signature of rows i and i+1,
+where a_s and b_s count the s's in those rows.  The scan of that signature
+selects one value, which moves between the two rows' contents, and the
+result is packed once: the canonical form depends only on the content of
+each row, so where the cell lands inside its new row never has to be
+computed.  The two models therefore commute through the word-to-ptableau
+bijection, and epsilon/phi are the largest running counts of the same scan.
 """
 from __future__ import annotations
 
@@ -23,35 +23,33 @@ from .core import (
     _row_values,
     is_anti_partition_shaped,
     is_partition_shaped,
-    restrict,
-    right_justify,
 )
 from .errors import InternalInvariantError
 
 
-def _check_index(i: int, rank: int):
+def _rank(obj) -> int:
+    return obj.rows if isinstance(obj, PTableau) else obj.rank
+
+
+def _checked(obj, i: int):
+    """``obj`` once i is a valid operator index for it; a parsed word comes
+    back as its plain word."""
+    rank = _rank(obj)
     if not 1 <= i <= rank - 1:
         raise ValueError(f"operator index {i} outside [1..{rank - 1}]")
+    return obj.word if isinstance(obj, ParsedWord) else obj
 
 
-# ---------------------------------------------------------------------------
-# word operators
-
-
-def _scan(word, i: int, raising: bool):
-    """The bracket scan for index i, shared by the operators and epsilon/phi.
+def _scan(letters, i: int, raising: bool):
+    """The bracket scan for index i, shared by every operator and epsilon/phi.
 
     Raising reads left to right, and the running count at a position is the
     number of (i+1)'s up to it minus the number of i's strictly before it;
-    lowering reads right to left with i and i+1 swapped.  Returns the plain
-    word, the largest running count (at least 0; it is epsilon_i when
-    raising and phi_i when lowering) and the first position in reading
-    order that reaches it, or None when that count is 0.
+    lowering reads right to left with i and i+1 swapped.  Returns the
+    largest running count (at least 0; it is epsilon_i when raising and
+    phi_i when lowering) and the first position in reading order that
+    reaches it, or None when that count is 0.
     """
-    if isinstance(word, ParsedWord):
-        word = word.word
-    _check_index(i, word.rank)
-    letters = word.letters
     if raising:
         order, plus, minus = range(len(letters)), i + 1, i
     else:
@@ -63,41 +61,63 @@ def _scan(word, i: int, raising: bool):
         prev = a == minus
         if cur > best:
             best, best_j = cur, j
-    return word, best, best_j
+    return best, best_j
+
+
+# ---------------------------------------------------------------------------
+# word operators
 
 
 def word_raising(word, i: int):
     """Change the selected i+1 into an i, or None when undefined."""
-    plain, _, j = _scan(word, i, True)
+    plain = _checked(word, i)
+    letters = plain.letters
+    j = _scan(letters, i, True)[1]
     if j is None:
         return None
-    if plain.letters[j] != i + 1:
+    if letters[j] != i + 1:
         raise InternalInvariantError("raising selected a letter that is not i+1")
-    out = Word(plain.rank, plain.letters[:j] + (i,) + plain.letters[j + 1 :])
+    out = Word._from_letters(plain.rank, letters[:j] + (i,) + letters[j + 1 :])
     return ParsedWord(out, word.cuts) if plain is not word else out
 
 
 def word_lowering(word, i: int):
     """Change the selected i into an i+1, or None when undefined."""
-    plain, _, j = _scan(word, i, False)
+    plain = _checked(word, i)
+    letters = plain.letters
+    j = _scan(letters, i, False)[1]
     if j is None:
         return None
-    if plain.letters[j] != i:
+    if letters[j] != i:
         raise InternalInvariantError("lowering selected a letter that is not i")
-    out = Word(plain.rank, plain.letters[:j] + (i + 1,) + plain.letters[j + 1 :])
+    out = Word._from_letters(plain.rank, letters[:j] + (i + 1,) + letters[j + 1 :])
     return ParsedWord(out, word.cuts) if plain is not word else out
 
 
 def word_epsilon(word, i: int) -> int:
-    return _scan(word, i, True)[1]
+    return _scan(_checked(word, i).letters, i, True)[0]
 
 
 def word_phi(word, i: int) -> int:
-    return _scan(word, i, False)[1]
+    return _scan(_checked(word, i).letters, i, False)[0]
 
 
 # ---------------------------------------------------------------------------
 # ptableau operators
+
+
+def _signature(tab: PTableau, i: int):
+    """The letters i, i+1 of the tableau's word and the value each reads.
+
+    Keys 2s (an s in row i+1) and 2s + 1 (an s in row i) sort into the
+    word's order, in which value s reads (i+1)^{b_s} i^{a_s}.
+    """
+    top, bottom = _checked(tab, i).grid[i - 1 : i + 1]
+    keys = sorted(
+        [2 * v for v in bottom if v is not None]
+        + [2 * v + 1 for v in top if v is not None]
+    )
+    return [i + 1 - (k & 1) for k in keys], keys
 
 
 def _moved(tab: PTableau, value: int, from_row: int, to_row: int) -> PTableau:
@@ -109,47 +129,33 @@ def _moved(tab: PTableau, value: int, from_row: int, to_row: int) -> PTableau:
 
 
 def ptab_raising(tab: PTableau, i: int):
-    """Move the last entry of row i+1 of the restriction with a blank above
-    it into row i."""
-    _check_index(i, tab.rows)
-    top, bottom = restrict(tab, i).grid
-    for a, b in zip(reversed(top), reversed(bottom)):
-        if a is None and b is not None:
-            return _moved(tab, b, i, i - 1)
-    return None
+    """Move the value of the signature's selected i+1 from row i+1 to row i."""
+    letters, keys = _signature(tab, i)
+    j = _scan(letters, i, True)[1]
+    return None if j is None else _moved(tab, keys[j] >> 1, i, i - 1)
 
 
 def ptab_lowering(tab: PTableau, i: int):
-    """Move the first entry of row i of the right-justified restriction with
-    a blank below it into row i+1."""
-    _check_index(i, tab.rows)
-    top, bottom = right_justify(restrict(tab, i).grid)
-    for a, b in zip(top, bottom):
-        if a is not None and b is None:
-            return _moved(tab, a, i - 1, i)
-    return None
+    """Move the value of the signature's selected i from row i to row i+1."""
+    letters, keys = _signature(tab, i)
+    j = _scan(letters, i, False)[1]
+    return None if j is None else _moved(tab, keys[j] >> 1, i - 1, i)
 
 
 def ptab_epsilon(tab: PTableau, i: int) -> int:
-    """Blanks in row i of the two-row restriction."""
-    _check_index(i, tab.rows)
-    two = restrict(tab, i)
-    return two.cols - sum(1 for v in two.grid[0] if v is not None)
+    """Largest count of the raising scan: the blanks in row i of the
+    two-row restriction."""
+    return _scan(_signature(tab, i)[0], i, True)[0]
 
 
 def ptab_phi(tab: PTableau, i: int) -> int:
-    """Blanks in row i+1 of the two-row restriction."""
-    _check_index(i, tab.rows)
-    two = restrict(tab, i)
-    return two.cols - sum(1 for v in two.grid[1] if v is not None)
+    """Largest count of the lowering scan: the blanks in row i+1 of the
+    two-row restriction."""
+    return _scan(_signature(tab, i)[0], i, False)[0]
 
 
 # ---------------------------------------------------------------------------
 # dispatch over both models
-
-
-def _rank(obj) -> int:
-    return obj.rows if isinstance(obj, PTableau) else obj.rank
 
 
 def raising_operator(obj, i: int):

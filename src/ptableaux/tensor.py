@@ -1,7 +1,7 @@
 """Tensor products of ptableaux and the Littlewood-Richardson rule."""
 from __future__ import annotations
 
-from .bijections import word_from_ptableau
+from .bijections import matrix_from_ptableau, word_from_ptableau
 from .core import (
     ParsedWord,
     PTableau,
@@ -80,19 +80,10 @@ def word_condition_counting(tab: PTableau) -> bool:
     Strictly weaker than :func:`satisfies_word_condition`; kept so the two
     can be compared side by side.
     """
-    n = tab.rows
-    counts = [[0] * (n + 2) for _ in range(tab.content_bound + 2)]
-    for r, row in enumerate(tab.grid, start=1):
-        for v in row:
-            if v is not None:
-                counts[v][r] += 1
+    m = matrix_from_ptableau(tab).entries  # m[v - 1][r - 1]: v's in row r
     for i in range(1, tab.content_bound):
-        for k in range(n):
-            top = sum(counts[i][r] for r in range(i, min(i + k, n) + 1))
-            bot = sum(
-                counts[i + 1][r] for r in range(i + 1, min(i + k + 1, n) + 1)
-            )
-            if top < bot:
+        for k in range(tab.rows):
+            if sum(m[i - 1][i - 1 : i + k]) < sum(m[i][i : i + k + 1]):
                 return False
     return True
 

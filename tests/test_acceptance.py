@@ -365,23 +365,19 @@ def test_criterion_08_commutators():
                         assert down == up
                         assert is_partition_shaped(down)
                         assert down.weight() == prod.weight()
-                        from ptableaux.core import PTableau, _pack_rows
+                        from ptableaux.core import PTableau
 
                         left_rows = [
                             [v for v in row if v <= nu_bound]
                             for row in down.row_values()
                         ]
-                        left = PTableau(
-                            _pack_rows(left_rows, n), nu_bound, _trusted=True
-                        )
+                        left = PTableau._from_rows(left_rows, nu_bound)
                         assert left == t_nu_max
                         right_rows = [
                             [v - nu_bound for v in row if v > nu_bound]
                             for row in down.row_values()
                         ]
-                        right = PTableau(
-                            _pack_rows(right_rows, n), mu_bound, _trusted=True
-                        )
+                        right = PTableau._from_rows(right_rows, mu_bound)
                         assert right in mu_nodes
                         for direction in (True, False):
                             for state in push_states(

@@ -187,6 +187,22 @@ class TestGraphCommands:
         assert code == 1 and err.startswith("error: ") and out == ""
         assert calls == []
 
+    def test_decompose_caps_word_length_at_rank_one(self, capsys, monkeypatch):
+        # rank 1 has a single word of any length, so rank**length never
+        # exceeds the cap; the length itself must
+        import ptableaux.cli
+
+        calls = []
+        monkeypatch.setattr(
+            ptableaux.cli, "words_closure", lambda *a: calls.append(a) or []
+        )
+        code, out, err = run(
+            capsys, "decompose", "--rank", "1", "--length", "2000",
+            "--max-nodes", "1000",
+        )
+        assert code == 1 and err.startswith("error: ") and out == ""
+        assert calls == []
+
     def test_lr_with_verify(self, capsys):
         code, out, _ = run(
             capsys, "lr", "--mu", "2,1", "--nu", "2,1",

@@ -368,3 +368,27 @@ class TestTextFormats:
         for cell in (1.5, 0, -2, "1"):
             with pytest.raises(PTableauError):
                 PTableau([[cell]])
+
+    def test_word_text_errors_are_typed(self):
+        with pytest.raises(PTableauError):
+            Word.from_text("1x")
+        with pytest.raises(PTableauError):
+            Word.from_text("1,x")
+        with pytest.raises(PTableauError):
+            Word.from_text("13", rank=2)
+        with pytest.raises(PTableauError):
+            Word(-1, [])
+
+    def test_parsed_word_text_errors_are_typed(self):
+        with pytest.raises(PTableauError):
+            ParsedWord.from_text("2|x")
+        with pytest.raises(PTableauError):
+            ParsedWord.from_text("2,1|3,y")
+        with pytest.raises(PTableauError):
+            ParsedWord.from_text("2|0")
+
+    def test_content_bound_below_largest_value_is_typed(self):
+        with pytest.raises(PTableauError):
+            validate_ptableau([[1, 2]], 1)
+        with pytest.raises(PTableauError):
+            PTableau.from_text("1 2", 1)

@@ -340,20 +340,16 @@ class TestPush:
                     [v for v in row if v <= nu_bound]
                     for row in down.row_values()
                 ]
-                from ptableaux.core import _pack_rows, PTableau
+                from ptableaux.core import PTableau
 
-                left = PTableau(
-                    _pack_rows(left_rows, n), nu_bound, _trusted=True
-                )
+                left = PTableau._from_rows(left_rows, nu_bound)
                 assert left == t_nu_max
                 # right factor is a node of the mu component
                 right_rows = [
                     [v - nu_bound for v in row if v > nu_bound]
                     for row in down.row_values()
                 ]
-                right = PTableau(
-                    _pack_rows(right_rows, n), mu_bound, _trusted=True
-                )
+                right = PTableau._from_rows(right_rows, mu_bound)
                 assert right in g_mu.node_set()
 
     def test_non_canonical_left_component(self):
@@ -377,19 +373,15 @@ class TestPush:
                 [v for v in row if v <= t_nu_max.content_bound]
                 for row in down.row_values()
             ]
-            from ptableaux.core import PTableau, _pack_rows
+            from ptableaux.core import PTableau
 
-            left = PTableau(
-                _pack_rows(left_rows, 3), t_nu_max.content_bound, _trusted=True
-            )
+            left = PTableau._from_rows(left_rows, t_nu_max.content_bound)
             assert left == t_nu_max
             right_rows = [
                 [v - t_nu_max.content_bound for v in row if v > t_nu_max.content_bound]
                 for row in down.row_values()
             ]
-            right = PTableau(
-                _pack_rows(right_rows, 3), t_mu_max.content_bound, _trusted=True
-            )
+            right = PTableau._from_rows(right_rows, t_mu_max.content_bound)
             assert right in g_mu.node_set()
 
     def test_intermediate_states_are_bss_pairs(self):
