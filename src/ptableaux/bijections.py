@@ -8,7 +8,15 @@ from .core import (
     Word,
     minimal_parsing,
 )
-from .errors import BiwordInvalid
+from .errors import BiwordInvalid, DimensionMismatch, PTableauError
+
+
+def _ints(values):
+    """``values`` as a tuple of ints; a value that is not one is a typed error."""
+    try:
+        return tuple(int(x) for x in values)
+    except ValueError as exc:
+        raise PTableauError(str(exc)) from exc
 
 
 class Biword:
@@ -18,7 +26,10 @@ class Biword:
     __slots__ = ("top_rank", "bottom_rank", "columns")
 
     def __init__(self, top_rank: int, bottom_rank: int, columns):
-        columns = tuple((int(a), int(b)) for a, b in columns)
+        columns = tuple(map(_ints, columns))
+        for col in columns:
+            if len(col) != 2:
+                raise BiwordInvalid(f"column {col} is not a pair")
         for a, b in columns:
             if not 1 <= a <= top_rank:
                 raise BiwordInvalid(f"top entry {a} outside [1..{top_rank}]")
@@ -64,8 +75,7 @@ class Biword:
         lines = [ln for ln in text.strip().splitlines() if ln.strip()]
         if len(lines) != 2:
             raise BiwordInvalid("expected two lines")
-        top = [int(t) for t in lines[0].split()]
-        bottom = [int(t) for t in lines[1].split()]
+        top, bottom = (_ints(line.split()) for line in lines)
         if len(top) != len(bottom):
             raise BiwordInvalid("rows have different lengths")
         if top_rank is None:
@@ -95,14 +105,14 @@ class NNMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries):
-        entries = tuple(tuple(int(x) for x in row) for row in entries)
+        entries = tuple(map(_ints, entries))
         widths = {len(row) for row in entries}
         if len(widths) > 1:
-            raise ValueError("matrix is not rectangular")
+            raise DimensionMismatch("matrix is not rectangular")
         for row in entries:
             for x in row:
                 if x < 0:
-                    raise ValueError("negative entry")
+                    raise PTableauError("negative entry")
         self.entries = entries
         self.rows = len(entries)
         self.cols = len(entries[0]) if entries else 0
@@ -121,11 +131,7 @@ class NNMatrix:
 
     @classmethod
     def from_text(cls, text: str):
-        return cls(
-            [int(t) for t in line.split()]
-            for line in text.strip().splitlines()
-            if line.strip()
-        )
+        return cls(line.split() for line in text.strip().splitlines() if line.strip())
 
     def to_text(self) -> str:
         return "\n".join(" ".join(str(x) for x in row) for row in self.entries)
@@ -181,23 +187,26 @@ def ptableau_from_word(pw, rows: int | None = None) -> PTableau:
     """Build the left-justified ptableau of a parsed word.
 
     Factor s contributes the horizontal strip of s's; the letters name the
-    rows, filled bottom-up with each cell as far left as the conditions
-    allow.  A plain :class:`Word` is given its minimal parsing.
+    rows, so the count matrix counts each letter in each factor.  A plain
+    :class:`Word` is given its minimal parsing.
     """
     if isinstance(pw, Word):
         pw = minimal_parsing(pw)
     n = pw.rank if rows is None else rows
-    rows_values: list[list[int]] = [[] for _ in range(n)]
-    for s, factor in enumerate(pw.factors, start=1):
+    counts = [[0] * pw.num_factors for _ in range(n)]
+    for s, factor in enumerate(pw.factors):
         for letter in factor:
-            rows_values[letter - 1].append(s)
-    return PTableau._from_rows(rows_values, pw.num_factors)
+            counts[letter - 1][s] += 1
+    return PTableau._from_counts(tuple(map(tuple, counts)), pw.num_factors)
 
 
 def word_from_ptableau(tab: PTableau) -> ParsedWord:
-    """Inverse of :func:`ptableau_from_word`: read each strip head to tail."""
-    strips = [tab.cells_of(v) for v in range(1, tab.content_bound + 1)]
-    factors = [[r + 1 for r, _ in cells] for cells in strips]
+    """Inverse of :func:`ptableau_from_word`: read each strip head to tail,
+    which is from the bottom row up."""
+    factors = [
+        [r for r in range(tab.rows, 0, -1) for _ in range(tab.counts[r - 1][s])]
+        for s in range(tab.content_bound)
+    ]
     return ParsedWord._from_factors(tab.rows, factors)
 
 
@@ -239,13 +248,11 @@ def biword_from_matrix(mat: NNMatrix) -> Biword:
 
 
 def matrix_from_ptableau(tab: PTableau) -> NNMatrix:
-    """entry (i, j) counts the i's in row j; agrees with the biword route."""
-    m = [[0] * tab.rows for _ in range(tab.content_bound)]
-    for r, row in enumerate(tab.grid):
-        for v in row:
-            if v is not None:
-                m[v - 1][r] += 1
-    return NNMatrix(m)
+    """entry (i, j) counts the i's in row j: the transpose of ``tab.counts``;
+    agrees with the biword route."""
+    return NNMatrix(
+        [[count[s] for count in tab.counts] for s in range(tab.content_bound)]
+    )
 
 
 def dual(tab: PTableau) -> PTableau:

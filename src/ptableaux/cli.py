@@ -47,7 +47,14 @@ from .evacuation import (
     push_down,
     push_up,
 )
-from .graph import component, decompose, export_dot, export_json, words_closure
+from .graph import (
+    _too_many_words,
+    component,
+    decompose,
+    export_dot,
+    export_json,
+    words_closure,
+)
 from .operators import apply_ops, to_highest_weight
 from .tensor import (
     classical_lr_fillings,
@@ -206,10 +213,7 @@ def cmd_crystal(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    # rank**length, with the exponent clipped where it already exceeds the
-    # cap, so a huge --length is refused without computing a huge power
-    count = args.rank ** min(args.length, args.max_nodes.bit_length() + 1)
-    if count > args.max_nodes:
+    if _too_many_words(args.rank, args.length, args.max_nodes):
         raise SizeLimitExceeded(
             f"{args.rank}**{args.length} words exceed --max-nodes {args.max_nodes}"
         )
@@ -219,7 +223,8 @@ def cmd_decompose(args) -> int:
             f"words of {args.length} letters exceed --max-nodes {args.max_nodes}"
         )
     comps = decompose(
-        words_closure(args.rank, args.length), max_nodes=args.max_nodes
+        words_closure(args.rank, args.length, max_nodes=args.max_nodes),
+        max_nodes=args.max_nodes,
     )
     rows = []
     for graph in comps:
@@ -378,7 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-nodes",
         type=int,
         default=10**6,
-        help="refuse sizes with more than this many words (rank**length)",
+        help=(
+            "refuse sizes with more than this many words (rank**length)"
+            " or a --length above it"
+        ),
     )
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_decompose)

@@ -12,12 +12,14 @@ hold a positive integer or are blank, subject to:
   4. no column is entirely blank (all-blank rows are fine).
 
 Ptableaux are considered up to row equivalence (sliding content past
-blanks within a row).  Every class has a unique left-justified member,
-which is what :class:`PTableau` stores.  It depends only on the content of
-each row: reading the cells as the tableau's word (values in increasing
-order, each value's cells from the bottom row up), each cell's column is
-the length of the longest weakly decreasing subword ending at its letter,
-less one, so packing places every cell directly.
+blanks within a row).  Every class has a unique left-justified member, and
+it depends only on the content of each row, so a class is its count
+matrix: how many s's sit in each row.  :class:`PTableau` stores, compares
+and hashes that matrix.  The left-justified grid is packed from it only
+when it is read: reading the cells as the tableau's word (values in
+increasing order, each value's cells from the bottom row up), each cell's
+column is the length of the longest weakly decreasing subword ending at
+its letter, less one, so packing places every cell directly.
 """
 from __future__ import annotations
 
@@ -347,36 +349,74 @@ def check_grid(grid) -> None:
 class PTableau:
     """Canonical (left-justified, no blank columns) perforated tableau.
 
-    ``content_bound`` is the largest content value the class admits; it can
-    exceed the largest value actually present (words parsed with empty
-    factors produce such gaps).
+    Stored as its count matrix: ``counts[r][s - 1]`` is the number of s's
+    in row r (0-based), for s up to ``content_bound``, the largest content
+    value the class admits; it can exceed the largest value actually
+    present (words parsed with empty factors produce such gaps).  Equality
+    and the hash read only ``counts`` and ``content_bound``.  The grid and
+    its width ``cols`` are packed from the counts, and the text is rendered
+    from the grid, on first read, and kept.
     """
 
-    __slots__ = ("rows", "cols", "grid", "content_bound")
+    __slots__ = ("rows", "content_bound", "counts", "_hash", "grid", "cols", "_text")
 
     def __init__(self, grid, content_bound: int | None = None):
         other = validate_ptableau(grid, content_bound)
-        for name in self.__slots__:
+        for name in ("rows", "content_bound", "counts", "_hash"):
             setattr(self, name, getattr(other, name))
+
+    @classmethod
+    def _from_counts(cls, counts, content_bound: int) -> "PTableau":
+        """The ptableau of a (trusted) count matrix, a tuple of row tuples
+        of length ``content_bound``."""
+        tab = object.__new__(cls)
+        tab.rows = len(counts)
+        tab.content_bound = content_bound
+        tab.counts = counts
+        tab._hash = hash((counts, content_bound))
+        return tab
 
     @classmethod
     def _from_rows(cls, rows_values, content_bound: int) -> "PTableau":
         """The canonical ptableau with the given (trusted) per-row contents;
-        the one constructor that skips validation."""
-        tab = object.__new__(cls)
-        tab.grid = grid = _pack_rows(rows_values, len(rows_values))
-        tab.rows = len(grid)
-        tab.cols = len(grid[0]) if grid and grid[0] else 0
-        tab.content_bound = content_bound
-        return tab
+        with :meth:`_from_counts`, the only constructors that skip
+        validation."""
+        counts = []
+        for row in rows_values:
+            count = [0] * content_bound
+            for v in row:
+                count[v - 1] += 1
+            counts.append(tuple(count))
+        return cls._from_counts(tuple(counts), content_bound)
+
+    def __getattr__(self, name):
+        # reached only while a slot is unset: the grid, its width and its
+        # text are derived on first read and kept
+        if name == "grid" or name == "cols":
+            self.grid = grid = _pack_rows(self.row_values(), self.rows)
+            self.cols = len(grid[0]) if grid and grid[0] else 0
+        elif name == "_text":
+            rows = [["." if v is None else str(v) for v in row] for row in self.grid]
+            self._text = "\n".join([" ".join(row) for row in rows])
+        else:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        return getattr(self, name)
 
     def row_values(self):
-        return _row_values(self.grid)
+        """Each row's values in increasing order."""
+        rows_values = []
+        for count in self.counts:
+            values = []
+            for s, n in enumerate(count, 1):
+                if n:
+                    values += [s] * n
+            rows_values.append(values)
+        return rows_values
 
     def weight(self):
-        return tuple(
-            sum(1 for v in row if v is not None) for row in self.grid
-        )
+        return tuple(map(sum, self.counts))
 
     def cells_of(self, value: int):
         """Cells holding ``value``, head to tail (by increasing column)."""
@@ -389,19 +429,19 @@ class PTableau:
 
     def max_value(self) -> int:
         return max(
-            (v for row in self.grid for v in row if v is not None), default=0
+            (s for count in self.counts for s, n in enumerate(count, 1) if n),
+            default=0,
         )
 
     def __eq__(self, other):
         return (
             isinstance(other, PTableau)
-            and self.rows == other.rows
             and self.content_bound == other.content_bound
-            and self.grid == other.grid
+            and self.counts == other.counts
         )
 
     def __hash__(self):
-        return hash((self.rows, self.content_bound, self.grid))
+        return self._hash
 
     def __repr__(self):
         return f"PTableau({self.to_text()!r})"
@@ -412,10 +452,7 @@ class PTableau:
         return validate_ptableau(_grid_from_text(text), content_bound)
 
     def to_text(self) -> str:
-        return "\n".join(
-            " ".join("." if v is None else str(v) for v in row)
-            for row in self.grid
-        )
+        return self._text
 
     def to_json_obj(self):
         return {
@@ -461,8 +498,7 @@ def restrict(tab: PTableau, i: int) -> PTableau:
     """Two-row ptableau of rows i, i+1 (1-based) with blank columns dropped."""
     if not 1 <= i < tab.rows:
         raise ValueError(f"row index {i} out of range")
-    rows_values = _row_values(tab.grid[i - 1 : i + 1])
-    return PTableau._from_rows(rows_values, tab.content_bound)
+    return PTableau._from_counts(tab.counts[i - 1 : i + 1], tab.content_bound)
 
 
 def weight(obj):
@@ -482,31 +518,52 @@ def weight(obj):
 word_weight = weight
 
 
+def _count_scan(top, bottom, raising: bool):
+    """The bracket scan of two rows of a count matrix, one value at a time.
+
+    Value s reads (i+1)^{b_s} i^{a_s} in the signature of the two rows,
+    with a_s = ``top[s]`` and b_s = ``bottom[s]``.  Raising reads the values
+    in increasing order, each a run of b_s letters that raise the running
+    count and then a_s that lower it; lowering reads the signature right to
+    left, so the values in decreasing order, each a_s raising letters and
+    then b_s lowering ones.  The count peaks at the last letter of a
+    raising run, so only those are compared.  Returns the largest running
+    count (at least 0) and the 0-based value of the first run that reaches
+    it, or None when that count is 0.
+    """
+    if raising:
+        plus, minus, order = bottom, top, range(len(top))
+    else:
+        plus, minus, order = top, bottom, range(len(top) - 1, -1, -1)
+    best, best_s, cur = 0, None, 0
+    for s in order:
+        n = plus[s]
+        if n:
+            cur += n
+            if cur > best:
+                best, best_s = cur, s
+        cur -= minus[s]
+    return best, best_s
+
+
 def is_partition_shaped(tab: PTableau) -> bool:
-    """True iff no blank in the left-justified form has content right or below."""
-    g = tab.grid
-    for r in range(tab.rows):
-        for c in range(tab.cols):
-            if g[r][c] is None:
-                if any(g[r][c2] is not None for c2 in range(c + 1, tab.cols)):
-                    return False
-                if any(g[r2][c] is not None for r2 in range(r + 1, tab.rows)):
-                    return False
-    return True
+    """True iff no raising operator applies; equivalently, no blank in the
+    left-justified form has content right of it or below it."""
+    counts = tab.counts
+    return all(
+        _count_scan(top, bottom, True)[1] is None
+        for top, bottom in zip(counts, counts[1:])
+    )
 
 
 def is_anti_partition_shaped(tab: PTableau) -> bool:
-    """True iff no blank in the right-justified form has content left or above."""
-    g = right_justify(tab.grid)
-    rows, cols = tab.rows, tab.cols
-    for r in range(rows):
-        for c in range(cols):
-            if g[r][c] is None:
-                if any(g[r][c2] is not None for c2 in range(c)):
-                    return False
-                if any(g[r2][c] is not None for r2 in range(r)):
-                    return False
-    return True
+    """True iff no lowering operator applies; equivalently, no blank in the
+    right-justified form has content left of it or above it."""
+    counts = tab.counts
+    return all(
+        _count_scan(top, bottom, False)[1] is None
+        for top, bottom in zip(counts, counts[1:])
+    )
 
 
 def shape(tab: PTableau):

@@ -10,7 +10,6 @@ from .errors import (
     NotTensorForm,
 )
 from .operators import rotate
-from .tensor import tensor
 
 
 def inward_slide_step(grid, pos):
@@ -159,31 +158,22 @@ def is_bss_pair(tagged_grid) -> bool:
 _MU, _NU = 0, 1
 
 
-def _split_tensor(product: PTableau, mu_bound: int):
-    """Extract the two tensor factors of a highest weight product."""
+def _check_tensor(product: PTableau, mu_bound: int):
+    """Raise unless ``product`` is highest weight and so is its left tensor
+    factor: the values up to ``mu_bound``, the first ``mu_bound`` columns
+    of its count matrix."""
     if not 0 <= mu_bound <= product.content_bound:
         raise NotTensorForm("split point outside the content bound")
     if not is_partition_shaped(product):
         raise NotHighestWeight("the tensor product is not highest weight")
-    left_rows = [
-        [v for v in row if v <= mu_bound] for row in product.row_values()
-    ]
-    right_rows = [
-        [v - mu_bound for v in row if v > mu_bound]
-        for row in product.row_values()
-    ]
-    left = PTableau._from_rows(left_rows, mu_bound)
-    right = PTableau._from_rows(right_rows, product.content_bound - mu_bound)
-    if not is_partition_shaped(left):
+    left = tuple(count[:mu_bound] for count in product.counts)
+    if not is_partition_shaped(PTableau._from_counts(left, mu_bound)):
         raise NotHighestWeight("the left tensor factor is not highest weight")
-    if tensor(left, right) != product:
-        raise NotTensorForm("input is not the tensor of its two content classes")
-    return left, right
 
 
 def _push(product: PTableau, mu_bound: int, down: bool):
     """Shared engine for the two push algorithms; returns (result, states)."""
-    _split_tensor(product, mu_bound)
+    _check_tensor(product, mu_bound)
     nu_bound = product.content_bound - mu_bound
     tagged = [
         [

@@ -208,10 +208,23 @@ def export_json(graph: CrystalGraph) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
-def words_closure(rank: int, length: int):
-    """All of [rank]^(x length) as Word values (closed under the operators)."""
+def _too_many_words(rank: int, length: int, max_nodes: int) -> bool:
+    """rank**length > max_nodes, with the exponent clipped where it already
+    exceeds the cap, so a huge length is refused without a huge power (a
+    negative length is left to ``itertools.product`` to refuse)."""
+    return rank ** min(max(length, 0), max_nodes.bit_length() + 1) > max_nodes
+
+
+def words_closure(rank: int, length: int, max_nodes: int = DEFAULT_MAX_NODES):
+    """All of [rank]^(x length) as Word values (closed under the operators).
+
+    Raises :class:`SizeLimitExceeded` before enumerating anything when
+    there are more than ``max_nodes`` of them.
+    """
     from itertools import product
 
+    if _too_many_words(rank, length, max_nodes):
+        raise SizeLimitExceeded(f"{rank}**{length} words exceed {max_nodes} nodes")
     return [
         Word(rank, letters)
         for letters in product(range(1, rank + 1), repeat=length)

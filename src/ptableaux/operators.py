@@ -1,17 +1,18 @@
 """Crystal raising/lowering operators on words and ptableaux.
 
-Both models run one bracket scan.  Reading left to right, raising acts at
-the first position achieving the maximal running count and lowering at the
-last.
+Both models run the same bracket scan.  Reading left to right, raising
+acts at the first position achieving the maximal running count and
+lowering at the last.
 
 A ptableau is read through its word: value s, taken from the bottom row
 up, contributes (i+1)^{b_s} i^{a_s} to the signature of rows i and i+1,
-where a_s and b_s count the s's in those rows.  The scan of that signature
-selects one value, which moves between the two rows' contents, and the
-result is packed once: the canonical form depends only on the content of
-each row, so where the cell lands inside its new row never has to be
-computed.  The two models therefore commute through the word-to-ptableau
-bijection, and epsilon/phi are the largest running counts of the same scan.
+where a_s and b_s count the s's in those rows.  These are two rows of the
+count matrix a :class:`PTableau` stores, so the scan runs over them one
+value block at a time (``core._count_scan``), and the value it selects
+moves one count between the two rows.  Nothing is packed: the canonical
+form depends only on those counts.  The two models therefore commute
+through the word-to-ptableau bijection, and epsilon/phi are the largest
+running counts of the same scan.
 """
 from __future__ import annotations
 
@@ -19,8 +20,7 @@ from .core import (
     ParsedWord,
     PTableau,
     Word,
-    _rotate_grid,
-    _row_values,
+    _count_scan,
     is_anti_partition_shaped,
     is_partition_shaped,
 )
@@ -41,7 +41,8 @@ def _checked(obj, i: int):
 
 
 def _scan(letters, i: int, raising: bool):
-    """The bracket scan for index i, shared by every operator and epsilon/phi.
+    """The bracket scan of a word for index i, shared by the word operators
+    and epsilon/phi (``core._count_scan`` runs it on a ptableau's counts).
 
     Raising reads left to right, and the running count at a position is the
     number of (i+1)'s up to it minus the number of i's strictly before it;
@@ -106,52 +107,44 @@ def word_phi(word, i: int) -> int:
 # ptableau operators
 
 
-def _signature(tab: PTableau, i: int):
-    """The letters i, i+1 of the tableau's word and the value each reads.
-
-    Keys 2s (an s in row i+1) and 2s + 1 (an s in row i) sort into the
-    word's order, in which value s reads (i+1)^{b_s} i^{a_s}.
-    """
-    top, bottom = _checked(tab, i).grid[i - 1 : i + 1]
-    keys = sorted(
-        [2 * v for v in bottom if v is not None]
-        + [2 * v + 1 for v in top if v is not None]
-    )
-    return [i + 1 - (k & 1) for k in keys], keys
+def _moved(tab: PTableau, s: int, from_row: int, to_row: int) -> PTableau:
+    """Move one copy of the value s + 1 between the 0-based rows."""
+    counts = list(tab.counts)
+    source, target = list(counts[from_row]), list(counts[to_row])
+    source[s] -= 1
+    target[s] += 1
+    counts[from_row], counts[to_row] = tuple(source), tuple(target)
+    return PTableau._from_counts(tuple(counts), tab.content_bound)
 
 
-def _moved(tab: PTableau, value: int, from_row: int, to_row: int) -> PTableau:
-    """Move one copy of ``value`` between the 0-based rows, re-canonicalized."""
-    rows_values = tab.row_values()
-    rows_values[from_row].remove(value)
-    rows_values[to_row].append(value)
-    return PTableau._from_rows(rows_values, tab.content_bound)
+def _count_bracket(tab: PTableau, i: int, raising: bool):
+    """``core._count_scan`` of rows i, i+1 (1-based)."""
+    top, bottom = _checked(tab, i).counts[i - 1 : i + 1]
+    return _count_scan(top, bottom, raising)
 
 
 def ptab_raising(tab: PTableau, i: int):
     """Move the value of the signature's selected i+1 from row i+1 to row i."""
-    letters, keys = _signature(tab, i)
-    j = _scan(letters, i, True)[1]
-    return None if j is None else _moved(tab, keys[j] >> 1, i, i - 1)
+    s = _count_bracket(tab, i, True)[1]
+    return None if s is None else _moved(tab, s, i, i - 1)
 
 
 def ptab_lowering(tab: PTableau, i: int):
     """Move the value of the signature's selected i from row i to row i+1."""
-    letters, keys = _signature(tab, i)
-    j = _scan(letters, i, False)[1]
-    return None if j is None else _moved(tab, keys[j] >> 1, i - 1, i)
+    s = _count_bracket(tab, i, False)[1]
+    return None if s is None else _moved(tab, s, i - 1, i)
 
 
 def ptab_epsilon(tab: PTableau, i: int) -> int:
     """Largest count of the raising scan: the blanks in row i of the
     two-row restriction."""
-    return _scan(_signature(tab, i)[0], i, True)[0]
+    return _count_bracket(tab, i, True)[0]
 
 
 def ptab_phi(tab: PTableau, i: int) -> int:
     """Largest count of the lowering scan: the blanks in row i+1 of the
     two-row restriction."""
-    return _scan(_signature(tab, i)[0], i, False)[0]
+    return _count_bracket(tab, i, False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +227,8 @@ def to_lowest_weight(obj):
 
 def rotate(tab: PTableau) -> PTableau:
     """180-degree rotation with content t replaced by bound + 1 - t."""
-    rotated = _rotate_grid(tab.grid, tab.content_bound)
-    return PTableau._from_rows(_row_values(rotated), tab.content_bound)
+    counts = tuple(count[::-1] for count in reversed(tab.counts))
+    return PTableau._from_counts(counts, tab.content_bound)
 
 
 def rotate_word(word):

@@ -26,15 +26,12 @@ def tensor_words(pw: ParsedWord, pw2: ParsedWord) -> ParsedWord:
 
 def tensor(left: PTableau, right: PTableau) -> PTableau:
     """Append the right factor's rows (content shifted up by the left factor's
-    bound) to the right of the left factor's rows, re-justifying."""
+    bound) to the right of the left factor's rows, re-justifying: each row
+    of the count matrix is the left row followed by the right row."""
     if left.rows != right.rows:
         raise RowMismatch("tensor operands have different row counts")
-    offset = left.content_bound
-    rows_values = [
-        lrow + [v + offset for v in rrow]
-        for lrow, rrow in zip(left.row_values(), right.row_values())
-    ]
-    return PTableau._from_rows(rows_values, offset + right.content_bound)
+    counts = tuple(l + r for l, r in zip(left.counts, right.counts))
+    return PTableau._from_counts(counts, left.content_bound + right.content_bound)
 
 
 def is_highest_weight_tensor(left: PTableau, right: PTableau) -> bool:

@@ -1,11 +1,13 @@
-"""Independent references for the canonical packing and the ptableau operators.
+"""Independent references for the canonical packing, the ptableau operators,
+the shape predicates and the tensor product.
 
 ``search_pack_rows`` is the column search the library used before it read
 each cell's column off the width law: it tries every column from the left
 until the ptableau conditions hold.  The grid rule below finds the moving
 value on the justified two-row restriction, as the paper states it, and
-packs only with ``search_pack_rows``, so nothing here calls the library's
-packer or its operators.
+packs only with ``search_pack_rows``; the shape predicates and the tensor
+product read the packed grid.  Nothing here calls the library's packer,
+its operators or its count matrix.
 """
 
 
@@ -117,3 +119,42 @@ def grid_epsilon(tab, i):
 def grid_phi(tab, i):
     """Blanks in row i+1 of the restriction."""
     return restriction(tab, i)[1].count(None)
+
+
+def grid_partition_shaped(grid):
+    """No blank of the left-justified grid has content right of it or below."""
+    rows, cols = len(grid), len(grid[0]) if grid else 0
+    for r in range(rows):
+        for c in range(cols):
+            if grid[r][c] is None:
+                if any(grid[r][c2] is not None for c2 in range(c + 1, cols)):
+                    return False
+                if any(grid[r2][c] is not None for r2 in range(r + 1, rows)):
+                    return False
+    return True
+
+
+def grid_anti_partition_shaped(grid):
+    """No blank of the right-justified grid has content left of it or above."""
+    g = right_justified(grid)
+    rows, cols = len(g), len(g[0]) if g else 0
+    for r in range(rows):
+        for c in range(cols):
+            if g[r][c] is None:
+                if any(g[r][c2] is not None for c2 in range(c)):
+                    return False
+                if any(g[r2][c] is not None for r2 in range(r)):
+                    return False
+    return True
+
+
+def grid_tensor(left, right):
+    """Grid of the tensor product: each row of ``left``'s grid followed by
+    the same row of ``right``'s, its values shifted up by ``left``'s bound,
+    re-packed."""
+    offset = left.content_bound
+    rows_values = [
+        _values(lrow) + [v + offset for v in _values(rrow)]
+        for lrow, rrow in zip(left.grid, right.grid)
+    ]
+    return search_pack_rows(rows_values, left.rows)

@@ -25,7 +25,7 @@ from ptableaux import (
     weight,
     word_from_ptableau,
 )
-from ptableaux.errors import BiwordInvalid
+from ptableaux.errors import BiwordInvalid, PTableauError
 
 B = None
 
@@ -120,6 +120,10 @@ class TestBiwords:
         bw = biword_from_parsed(ParsedWord.from_text("21|22|331|331"))
         assert Biword.from_text(bw.to_text(), 4, 3) == bw
 
+    def test_parse_error_is_typed(self):
+        with pytest.raises(PTableauError, match="invalid literal"):
+            Biword.from_text("1 x\n1 2")
+
 
 class TestMatrices:
     def test_intro_matrix(self):
@@ -134,6 +138,14 @@ class TestMatrices:
     def test_zero_matrix(self):
         m = NNMatrix([[0, 0], [0, 0]])
         assert biword_from_matrix(m).columns == ()
+
+    def test_parse_shape_and_range_errors_are_typed(self):
+        with pytest.raises(PTableauError, match="invalid literal"):
+            NNMatrix.from_text("1 x")
+        with pytest.raises(PTableauError, match="negative entry"):
+            NNMatrix([[1, -1]])
+        with pytest.raises(PTableauError, match="not rectangular"):
+            NNMatrix([[1, 2], [3]])
 
     def test_biword_matrix_round_trip_exhaustive(self):
         # all biwords with k <= 4 columns over top rank 3, bottom rank 3

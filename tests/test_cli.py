@@ -203,6 +203,11 @@ class TestGraphCommands:
         assert code == 1 and err.startswith("error: ") and out == ""
         assert calls == []
 
+    def test_decompose_negative_length_is_exit_1(self, capsys):
+        # 0**length has no value for a negative length: refused, not raised
+        code, out, err = run(capsys, "decompose", "--rank", "0", "--length", "-1")
+        assert code == 1 and err.startswith("error: ") and out == ""
+
     def test_lr_with_verify(self, capsys):
         code, out, _ = run(
             capsys, "lr", "--mu", "2,1", "--nu", "2,1",

@@ -184,6 +184,14 @@ class TestDecompose:
         with pytest.raises(NotClosed):
             decompose([Word.from_text("11", rank=2)])
 
+    def test_words_closure_cap_applies_before_enumeration(self):
+        # 2**(10**18) words: refused at once, without computing the power
+        with pytest.raises(SizeLimitExceeded):
+            words_closure(2, 10**18)
+        with pytest.raises(SizeLimitExceeded):
+            words_closure(3, 4, max_nodes=80)
+        assert len(words_closure(3, 4, max_nodes=81)) == 81
+
     def test_component_count_agrees_with_distinct_recordings(self):
         # two words lie in the same component iff their minimal-parsing
         # recording tableaux coincide

@@ -7,18 +7,25 @@ value, so arbitrary contents generate arbitrary ptableaux.
 from hypothesis import given, settings, strategies as st
 
 from ptableaux import (
+    is_anti_partition_shaped,
+    is_partition_shaped,
+    matrix_from_ptableau,
     ptab_epsilon,
     ptab_lowering,
     ptab_phi,
     ptab_raising,
     restrict,
+    tensor,
 )
 from ptableaux.core import PTableau, _pack_rows
 from reference import (
+    grid_anti_partition_shaped,
     grid_epsilon,
     grid_lowering,
+    grid_partition_shaped,
     grid_phi,
     grid_raising,
+    grid_tensor,
     search_pack_rows,
 )
 
@@ -33,8 +40,14 @@ def contents(draw, min_rows=0, max_rows=7, max_value=9):
     return rows, top + draw(st.integers(0, 2))
 
 
-def ptableaux(min_rows=2):
-    return contents(min_rows=min_rows).map(lambda c: PTableau._from_rows(*c))
+def ptableaux(min_rows=2, **kwargs):
+    return contents(min_rows=min_rows, **kwargs).map(
+        lambda c: PTableau._from_rows(*c)
+    )
+
+
+def _packed(tab):
+    return tab.rows, tab.content_bound, tab.grid
 
 
 class TestPacking:
@@ -79,3 +92,64 @@ class TestOperatorProperties:
             down = ptab_lowering(tab, i)
             if down is not None:
                 assert ptab_raising(down, i) == tab
+
+
+class TestCountMatrix:
+    @settings(max_examples=300, deadline=None)
+    @given(contents())
+    def test_lazy_grid_is_reference_packing(self, content):
+        rows, bound = content
+        tab = PTableau._from_rows(rows, bound)
+        expected = search_pack_rows(rows, len(rows))
+        assert tab.grid == expected
+        assert tab.cols == (len(expected[0]) if expected else 0)
+        assert tab.counts == tuple(
+            tuple(row.count(s) for s in range(1, bound + 1)) for row in rows
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), contents(max_rows=3, max_value=3))
+    def test_equality_and_hash_follow_the_packed_grid(self, data, content):
+        rows, bound = content
+        tab = PTableau._from_rows(rows, bound)
+        # the same contents in another order, and an unrelated small tableau
+        shuffled = [data.draw(st.permutations(row)) for row in rows]
+        others = [
+            PTableau._from_rows(shuffled, bound),
+            data.draw(ptableaux(min_rows=0, max_rows=3, max_value=3)),
+        ]
+        for other in others:
+            assert (tab == other) == (_packed(tab) == _packed(other))
+            if tab == other:
+                assert hash(tab) == hash(other)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ptableaux(min_rows=0))
+    def test_validated_grid_gives_back_the_tableau(self, tab):
+        again = PTableau(tab.grid, tab.content_bound)
+        assert again == tab and hash(again) == hash(tab)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ptableaux(min_rows=0))
+    def test_shape_predicates_match_grid_definitions(self, tab):
+        assert is_partition_shaped(tab) == grid_partition_shaped(tab.grid)
+        assert is_anti_partition_shaped(tab) == grid_anti_partition_shaped(tab.grid)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(0, 5))
+    def test_tensor_matches_grid_reference(self, data, n):
+        left, right = (
+            data.draw(ptableaux(min_rows=n, max_rows=n)) for _ in range(2)
+        )
+        product = tensor(left, right)
+        assert product.grid == grid_tensor(left, right)
+        assert product.content_bound == left.content_bound + right.content_bound
+
+    @settings(max_examples=300, deadline=None)
+    @given(ptableaux(min_rows=0))
+    def test_matrix_is_transpose_of_counts(self, tab):
+        entries = matrix_from_ptableau(tab).entries
+        assert len(entries) == tab.content_bound
+        for s, column in enumerate(entries):
+            assert column == tuple(count[s] for count in tab.counts)
+            assert column == tuple(row.count(s + 1) for row in tab.grid)
