@@ -6,7 +6,9 @@ from .core import (
     ParsedWord,
     PTableau,
     Word,
+    is_partition_shaped,
     minimal_parsing,
+    shape,
 )
 from .errors import BiwordInvalid, DimensionMismatch, PTableauError
 
@@ -150,8 +152,6 @@ class SSYTPair:
     __slots__ = ("insertion", "recording")
 
     def __init__(self, insertion: PTableau, recording: PTableau):
-        from .core import is_partition_shaped, shape
-
         if not (is_partition_shaped(insertion) and is_partition_shaped(recording)):
             raise ValueError("both tableaux must be partition shaped")
         if shape(insertion) != shape(recording):
@@ -161,8 +161,6 @@ class SSYTPair:
 
     @property
     def shape(self):
-        from .core import shape
-
         return shape(self.insertion)
 
     def __eq__(self, other):
@@ -202,7 +200,9 @@ def ptableau_from_word(pw, rows: int | None = None) -> PTableau:
 
 def word_from_ptableau(tab: PTableau) -> ParsedWord:
     """Inverse of :func:`ptableau_from_word`: read each strip head to tail,
-    which is from the bottom row up."""
+    which is from the bottom row up.  A ptableau with ``content_bound`` 0
+    has no parsed word, because a :class:`ParsedWord` always has at least
+    one factor: its word here has one empty factor, and so bound 1."""
     factors = [
         [r for r in range(tab.rows, 0, -1) for _ in range(tab.counts[r - 1][s])]
         for s in range(tab.content_bound)
@@ -257,11 +257,12 @@ def matrix_from_ptableau(tab: PTableau) -> NNMatrix:
 
 def dual(tab: PTableau) -> PTableau:
     """The dual ptableau: row i of the input, read right to left, names the
-    rows of the i-strip of the output.  An involution; its matrix is the
-    transpose of the input's."""
-    factors = [reversed(row) for row in tab.row_values()]
-    pw = ParsedWord._from_factors(tab.content_bound, factors)
-    return ptableau_from_word(pw, rows=tab.content_bound)
+    rows of the i-strip of the output.  Its count matrix is the transpose of
+    the input's, so it is an involution."""
+    counts = tuple(
+        tuple(count[s] for count in tab.counts) for s in range(tab.content_bound)
+    )
+    return PTableau._from_counts(counts, tab.rows)
 
 
 # ---------------------------------------------------------------------------

@@ -593,13 +593,12 @@ def is_yamanouchi(word: Word) -> bool:
 
 def is_minimally_parsed(tab: PTableau) -> bool:
     """True iff every value up to the bound occurs and each strip's head sits
-    strictly below the previous strip's tail."""
-    strips = {v: tab.cells_of(v) for v in range(1, tab.content_bound + 1)}
-    if any(not cells for cells in strips.values()):
-        return tab.content_bound == 0
-    for v in range(2, tab.content_bound + 1):
-        head_row = strips[v][0][0]
-        tail_row = strips[v - 1][-1][0]
-        if head_row <= tail_row:
+    strictly below the previous strip's tail.  A strip's head is in the
+    lowest row holding its value and its tail in the highest."""
+    tail = -1
+    for s in range(tab.content_bound):
+        rows = [r for r, count in enumerate(tab.counts) if count[s]]
+        if not rows or rows[-1] <= tail:
             return False
+        tail = rows[0]
     return True

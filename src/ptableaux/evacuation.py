@@ -2,7 +2,9 @@
 algorithms computing commutators of highest weight tensor products."""
 from __future__ import annotations
 
-from .core import PTableau, is_partition_shaped
+from math import inf
+
+from .core import PTableau, _row_values, is_partition_shaped
 from .errors import (
     InternalInvariantError,
     NotHighestWeight,
@@ -45,28 +47,29 @@ def _run_blank(grid, pos):
         path.append(pos)
 
 
-def _active(grid, r, c):
-    """A blank still awaiting evacuation: some content lies weakly northwest
-    of it.  Blanks whose whole northwest quadrant is blank have already
-    joined the evacuated region."""
-    return any(
-        grid[r2][c2] is not None for r2 in range(r + 1) for c2 in range(c + 1)
-    )
-
-
 def processable_corners(grid):
     """Outer corners: active blanks with no active blank immediately left or
-    above (top-to-bottom, left-to-right order)."""
+    above (top-to-bottom, left-to-right order).
+
+    A blank is active, still awaiting evacuation, iff some content lies
+    weakly northwest of it; blanks whose whole northwest quadrant is blank
+    have joined the evacuated region.  Read row by row, that is iff the
+    blank's column is at or right of the leftmost content column met so far,
+    so one pass finds every corner.
+    """
     corners = []
+    lead = inf  # leftmost content column met so far
     for r, row in enumerate(grid):
+        above = lead  # leftmost content column of the rows above
         for c, v in enumerate(row):
-            if v is not None or not _active(grid, r, c):
-                continue
-            if r > 0 and grid[r - 1][c] is None and _active(grid, r - 1, c):
-                continue
-            if c > 0 and grid[r][c - 1] is None and _active(grid, r, c - 1):
-                continue
-            corners.append((r, c))
+            if v is not None:
+                lead = min(lead, c)
+            elif (
+                lead <= c
+                and (lead == c or row[c - 1] is not None)
+                and (above > c or grid[r - 1][c] is not None)
+            ):
+                corners.append((r, c))
     return corners
 
 
@@ -87,8 +90,7 @@ def evacuate_with_paths(tab: PTableau):
             break
         grid, path = _run_blank(grid, corners[0])
         paths.append(path)
-    rows_values = [[v for v in row if v is not None] for row in grid]
-    return PTableau._from_rows(rows_values, tab.content_bound), paths
+    return PTableau._from_rows(_row_values(grid), tab.content_bound), paths
 
 
 def evacuate(tab: PTableau) -> PTableau:
@@ -186,49 +188,39 @@ def _push(product: PTableau, mu_bound: int, down: bool):
     ]
     n = product.rows
     states = [tuple(tuple(row) for row in tagged)]
+    if down:  # the left factor moves down and right, largest value first
+        moving, other, step, value_order = _MU, _NU, 1, range(mu_bound, 0, -1)
+    else:  # the right factor moves up and left, smallest value first
+        moving, other, step, value_order = _NU, _MU, -1, range(1, nu_bound + 1)
 
-    def cells_with(tag, value):
-        return [
+    def other_at(r, c):
+        """The other class's value at (r, c); None for a blank, a cell of
+        the moving class or a position off the grid."""
+        if 0 <= r < n and 0 <= c < len(tagged[r]):
+            cell = tagged[r][c]
+            if cell is not None and cell[0] == other:
+                return cell[1]
+        return None
+
+    for v in value_order:
+        cells = [
             (r, c)
             for r in range(n)
             for c in range(len(tagged[r]))
-            if tagged[r][c] == (tag, value)
+            if tagged[r][c] == (moving, v)
         ]
-
-    if down:
-        value_order = range(mu_bound, 0, -1)
-    else:
-        value_order = range(1, nu_bound + 1)
-    for v in value_order:
-        moving_tag = _MU if down else _NU
-        other_tag = _NU if down else _MU
-        cells = cells_with(moving_tag, v)
         cells.sort(key=lambda rc: rc[1], reverse=down)
         for r, c in cells:
             while True:
-                if down:
-                    first = (r + 1, c) if r + 1 < n else None
-                    second = (r, c + 1) if c + 1 < len(tagged[r]) else None
-                else:
-                    first = (r - 1, c) if r > 0 else None
-                    second = (r, c - 1) if c > 0 else None
-
-                def other_at(p):
-                    if p is None:
-                        return None
-                    cell = tagged[p[0]][p[1]]
-                    return cell[1] if cell is not None and cell[0] == other_tag else None
-
-                fval, sval = other_at(first), other_at(second)
-                if fval is None and sval is None:
+                # the vertical neighbour is taken unless the horizontal one
+                # is strictly smaller (going down) or larger (going up)
+                vert, horiz = other_at(r + step, c), other_at(r, c + step)
+                if vert is None and horiz is None:
                     break
-                if fval is not None and (
-                    sval is None or (fval <= sval if down else fval >= sval)
-                ):
-                    target = first
+                if vert is not None and (horiz is None or step * vert <= step * horiz):
+                    tr, tc = r + step, c
                 else:
-                    target = second
-                tr, tc = target
+                    tr, tc = r, c + step
                 tagged[r][c], tagged[tr][tc] = tagged[tr][tc], tagged[r][c]
                 r, c = tr, tc
                 states.append(tuple(tuple(row) for row in tagged))

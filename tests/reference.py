@@ -1,12 +1,14 @@
 """Independent references for the canonical packing, the ptableau operators,
-the shape predicates and the tensor product.
+the shape predicates, the tensor product, evacuation's outer corners and
+minimal parsing.
 
 ``search_pack_rows`` is the column search the library used before it read
 each cell's column off the width law: it tries every column from the left
 until the ptableau conditions hold.  The grid rule below finds the moving
 value on the justified two-row restriction, as the paper states it, and
-packs only with ``search_pack_rows``; the shape predicates and the tensor
-product read the packed grid.  Nothing here calls the library's packer,
+packs only with ``search_pack_rows``; the shape predicates, the tensor
+product and minimal parsing read the packed grid, and the corners rescan
+each blank's northwest quadrant.  Nothing here calls the library's packer,
 its operators or its count matrix.
 """
 
@@ -158,3 +160,39 @@ def grid_tensor(left, right):
         for lrow, rrow in zip(left.grid, right.grid)
     ]
     return search_pack_rows(rows_values, left.rows)
+
+
+def _active(grid, r, c):
+    """Some content lies weakly northwest of (r, c)."""
+    return any(
+        grid[r2][c2] is not None for r2 in range(r + 1) for c2 in range(c + 1)
+    )
+
+
+def quadrant_corners(grid):
+    """Outer corners of evacuation: active blanks with no active blank
+    immediately left or above, each found by rescanning its quadrant."""
+    corners = []
+    for r, row in enumerate(grid):
+        for c, v in enumerate(row):
+            if v is not None or not _active(grid, r, c):
+                continue
+            if r > 0 and grid[r - 1][c] is None and _active(grid, r - 1, c):
+                continue
+            if c > 0 and grid[r][c - 1] is None and _active(grid, r, c - 1):
+                continue
+            corners.append((r, c))
+    return corners
+
+
+def grid_minimally_parsed(grid, bound):
+    """Every value up to ``bound`` occurs in ``grid`` and each strip's head
+    (its leftmost cell) sits strictly below the previous strip's tail."""
+    cols = len(grid[0]) if grid else 0
+    strips = {
+        v: [(r, c) for c in range(cols) for r in range(len(grid)) if grid[r][c] == v]
+        for v in range(1, bound + 1)
+    }
+    if any(not cells for cells in strips.values()):
+        return False
+    return all(strips[v][0][0] > strips[v - 1][-1][0] for v in range(2, bound + 1))

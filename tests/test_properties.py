@@ -7,25 +7,43 @@ value, so arbitrary contents generate arbitrary ptableaux.
 from hypothesis import given, settings, strategies as st
 
 from ptableaux import (
+    ParsedWord,
+    Word,
+    dual,
+    evacuate,
+    evacuation_as_operators,
+    highest_weight_ptableau,
     is_anti_partition_shaped,
+    is_bss_pair,
+    is_minimally_parsed,
     is_partition_shaped,
     matrix_from_ptableau,
+    minimal_parsing,
+    processable_corners,
     ptab_epsilon,
     ptab_lowering,
     ptab_phi,
     ptab_raising,
+    ptableau_from_word,
+    push_down,
+    push_states,
+    push_up,
     restrict,
     tensor,
+    to_highest_weight,
+    to_lowest_weight,
 )
 from ptableaux.core import PTableau, _pack_rows
 from reference import (
     grid_anti_partition_shaped,
     grid_epsilon,
     grid_lowering,
+    grid_minimally_parsed,
     grid_partition_shaped,
     grid_phi,
     grid_raising,
     grid_tensor,
+    quadrant_corners,
     search_pack_rows,
 )
 
@@ -44,6 +62,18 @@ def ptableaux(min_rows=2, **kwargs):
     return contents(min_rows=min_rows, **kwargs).map(
         lambda c: PTableau._from_rows(*c)
     )
+
+
+@st.composite
+def parsed_words(draw):
+    """A word of rank up to 6 and up to 12 letters, with its minimal parsing
+    plus extra cuts, empty factors included; its ptableau has gaps in its
+    content where factors are empty."""
+    rank = draw(st.integers(1, 6))
+    letters = draw(st.lists(st.integers(1, rank), max_size=12))
+    word = Word(rank, letters)
+    extra = draw(st.lists(st.integers(0, len(letters)), max_size=3))
+    return ParsedWord(word, sorted(minimal_parsing(word).cuts + tuple(extra)))
 
 
 def _packed(tab):
@@ -153,3 +183,76 @@ class TestCountMatrix:
         for s, column in enumerate(entries):
             assert column == tuple(count[s] for count in tab.counts)
             assert column == tuple(row.count(s + 1) for row in tab.grid)
+
+
+class TestDual:
+    @settings(max_examples=300, deadline=None)
+    @given(contents(min_rows=0))
+    def test_dual_transposes_counts_and_is_an_involution(self, content):
+        rows, bound = content
+        tab = PTableau._from_rows(rows, bound)
+        flipped = dual(tab)
+        assert flipped.rows == bound and flipped.content_bound == len(rows)
+        assert flipped.counts == tuple(
+            tuple(row.count(s) for row in rows) for s in range(1, bound + 1)
+        )
+        assert dual(flipped) == tab
+
+
+class TestGridReaders:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), contents())
+    def test_corners_match_quadrant_rescan(self, data, content):
+        rows, _ = content
+        packed = search_pack_rows(rows, len(rows))
+        width = len(packed[0]) if packed else 0
+        blanks = data.draw(st.lists(st.booleans(), min_size=len(rows) * width))
+        grid = [
+            [None if blanks[r * width + c] else v for c, v in enumerate(row)]
+            for r, row in enumerate(packed)
+        ]
+        assert processable_corners(grid) == quadrant_corners(grid)
+
+    @settings(max_examples=300, deadline=None)
+    @given(contents(), parsed_words())
+    def test_minimal_parsing_matches_strip_cells(self, content, pw):
+        rows, bound = content
+        grid = search_pack_rows(rows, len(rows))
+        tab = PTableau._from_rows(rows, bound)
+        assert is_minimally_parsed(tab) == grid_minimally_parsed(grid, bound)
+        tab = ptableau_from_word(pw)
+        expected = grid_minimally_parsed(tab.grid, tab.content_bound)
+        assert is_minimally_parsed(tab) == expected
+        if pw.word.letters:  # the empty word's one factor is empty
+            assert is_minimally_parsed(ptableau_from_word(pw.word))
+
+
+class TestEvacuationAndPush:
+    @settings(max_examples=200, deadline=None)
+    @given(parsed_words())
+    def test_evacuation_is_lowest_weight_and_an_operator_product(self, pw):
+        tab = to_highest_weight(ptableau_from_word(pw))[0]
+        target = evacuate(tab)
+        assert target == to_lowest_weight(tab)[0]
+        for i in evacuation_as_operators(tab):
+            tab = ptab_lowering(tab, i)
+            assert tab is not None
+        assert tab == target
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), parsed_words())
+    def test_push_down_equals_push_up_through_bss_pairs(self, data, pw):
+        right = ptableau_from_word(pw)
+        n = right.rows
+        # T_mu (x) T is highest weight iff eps_i(T) <= mu_i - mu_{i+1}
+        gaps = [ptab_epsilon(right, i) for i in range(1, n)] + [0]
+        gaps = [g + data.draw(st.integers(0, 2)) for g in gaps]
+        mu = [sum(gaps[i:]) for i in range(n)]
+        left = highest_weight_ptableau(mu, rows=n)
+        product = tensor(left, right)
+        assert is_partition_shaped(product)
+        split = left.content_bound
+        assert push_down(product, split) == push_up(product, split)
+        for down in (True, False):
+            for state in push_states(product, split, down=down):
+                assert is_bss_pair(state)
