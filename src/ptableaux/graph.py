@@ -1,8 +1,10 @@
 """Connected crystal components, decomposition, isomorphism, export.
 
-Closures are single pass: every operator is applied once per node, each
-edge is recorded as it is found and the highest weight is met on the way,
-so a graph is never re-scanned for its edges or its highest weight.
+There is one closure: the seed is lowered to its lowest weight, then one
+breadth-first search by raising operators records each edge as it is found
+and meets the highest weight on the way, so a graph is never re-scanned for
+its edges or its highest weight.  ``decompose`` runs that closure once per
+component of its node set and refuses a node outside the set on sight.
 """
 from __future__ import annotations
 
@@ -14,7 +16,6 @@ from .errors import NotClosed, NotConnected, RankMismatch, SizeLimitExceeded
 from .operators import (
     _rank,
     is_highest_weight,
-    lowering_operator,
     raising_operator,
     to_lowest_weight,
 )
@@ -67,15 +68,20 @@ class CrystalGraph:
         )
 
 
-def _raise_closure(seed, max_nodes: int):
+def _raise_closure(seed, max_nodes: int, within=None):
     """Breadth-first search by raising operators from the lowest weight,
     which reaches every node because every node lowers to it.
 
     A hit e_i(v) = u is the edge u -f_i-> v.  Returns the edges as
-    ``{u: [(i, f_i(u)), ...]}`` over every node, and the nodes on which
-    no e_i applies.
+    ``{u: [(i, f_i(u)), ...]}`` over every node, and the highest weight:
+    the one node on which no e_i applies.  With ``within``, a node outside
+    it (the lowest weight or any node the search reaches) raises
+    :class:`NotClosed` before it is counted, so the search never runs
+    past that set.
     """
     low, _ = to_lowest_weight(seed)
+    if within is not None and low not in within:
+        raise NotClosed(f"operator image {_serialize(low)} leaves the node set")
     rank = _rank(low)
     down = {low: []}
     tops = []
@@ -90,6 +96,10 @@ def _raise_closure(seed, max_nodes: int):
             top = False
             out = down.get(u)
             if out is None:
+                if within is not None and u not in within:
+                    raise NotClosed(
+                        f"operator image {_serialize(u)} leaves the node set"
+                    )
                 if len(down) >= max_nodes:
                     raise SizeLimitExceeded(f"component exceeds {max_nodes} nodes")
                 out = down[u] = []
@@ -97,7 +107,11 @@ def _raise_closure(seed, max_nodes: int):
             out.append((i, v))
         if top:
             tops.append(v)
-    return down, tops
+    if len(tops) != 1:
+        raise NotConnected(
+            f"expected a unique highest weight node, found {len(tops)}"
+        )
+    return down, tops[0]
 
 
 def _build(down, top) -> CrystalGraph:
@@ -116,61 +130,26 @@ def component(seed, max_nodes: int = DEFAULT_MAX_NODES) -> CrystalGraph:
     by raising operators from there finds every node and every edge once
     each; the node on which no e_i applies is the highest weight.
     """
-    down, tops = _raise_closure(seed, max_nodes)
-    if len(tops) != 1:
-        raise NotConnected(
-            f"expected a unique highest weight node, found {len(tops)}"
-        )
-    return _build(down, tops[0])
+    return _build(*_raise_closure(seed, max_nodes))
 
 
 def decompose(nodes, max_nodes: int = DEFAULT_MAX_NODES):
     """Partition an operator-closed node set into connected components.
 
-    One pass applies every e_i and f_i to every node: it checks that the
-    set is closed, records the f-edges and finds the highest weights.  Each
-    component is then a breadth-first search over the recorded edges from
-    its highest weight, with no further operator calls.
+    Each node not yet met seeds the closure of :func:`component`, which
+    refuses a node outside the set as soon as it meets one
+    (:class:`NotClosed`).  A set whose every closure stays inside it is a
+    union of components, so no separate closedness check is needed.
     """
     node_set = set(nodes)
-    if not node_set:
-        return []
-    rank = _rank(next(iter(node_set)))
-    down = {}
-    tops = []
-    for u in node_set:
-        out = down[u] = []
-        top = True
-        for i in range(1, rank):
-            up = raising_operator(u, i)
-            v = lowering_operator(u, i)
-            for w in (up, v):
-                if w is not None and w not in node_set:
-                    raise NotClosed(
-                        f"operator image {_serialize(w)} leaves the node set"
-                    )
-            if up is not None:
-                top = False
-            if v is not None:
-                out.append((i, v))
-        if top:
-            tops.append(u)
+    met = set()
     components = []
-    for top in tops:
-        comp = {top: down[top]}
-        queue = deque([top])
-        while queue:
-            for _, v in down[queue.popleft()]:
-                if v not in comp:
-                    if len(comp) >= max_nodes:
-                        raise SizeLimitExceeded(
-                            f"component exceeds {max_nodes} nodes"
-                        )
-                    comp[v] = down[v]
-                    queue.append(v)
-        components.append(_build(comp, top))
-    if sum(len(g) for g in components) != len(node_set):
-        raise NotConnected("node set is not a union of crystal components")
+    for seed in node_set:
+        if seed in met:
+            continue
+        down, top = _raise_closure(seed, max_nodes, within=node_set)
+        met.update(down)
+        components.append(_build(down, top))
     components.sort(
         key=lambda g: (_trimmed(g.weight_label), _serialize(g.highest_weight_node))
     )
@@ -219,12 +198,15 @@ def words_closure(rank: int, length: int, max_nodes: int = DEFAULT_MAX_NODES):
     """All of [rank]^(x length) as Word values (closed under the operators).
 
     Raises :class:`SizeLimitExceeded` before enumerating anything when
-    there are more than ``max_nodes`` of them.
+    there are more than ``max_nodes`` of them, or when ``length`` is above
+    ``max_nodes`` (ranks 0 and 1 have at most one word, however long).
     """
     from itertools import product
 
     if _too_many_words(rank, length, max_nodes):
         raise SizeLimitExceeded(f"{rank}**{length} words exceed {max_nodes} nodes")
+    if length > max_nodes:
+        raise SizeLimitExceeded(f"words of {length} letters exceed {max_nodes} nodes")
     return [
         Word(rank, letters)
         for letters in product(range(1, rank + 1), repeat=length)

@@ -147,6 +147,51 @@ class TestClosureProperties:
         assert [_parts(g) for g in comps] == [_parts(component(t)) for t in tops]
 
 
+@st.composite
+def seed_sets(draw):
+    """One to three random seeds of one rank (2-4): all words, all their
+    ptableaux, or all ptableaux of parsings with extra factors."""
+    rank = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["word", "ptableau", "cuts"]))
+    out = []
+    for letters in draw(
+        st.lists(st.lists(st.integers(1, rank), max_size=5), min_size=1, max_size=3)
+    ):
+        word = Word(rank, letters)
+        if kind == "word":
+            out.append(word)
+            continue
+        cuts = minimal_parsing(word).cuts
+        if kind == "cuts":
+            extra = draw(st.lists(st.integers(0, len(letters)), min_size=1, max_size=2))
+            cuts = tuple(sorted(cuts + tuple(extra)))
+        out.append(ptableau_from_word(ParsedWord(word, cuts)))
+    return out
+
+
+class TestDecomposeProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(seed_sets())
+    def test_decompose_of_union_is_component_of_each_highest_weight(self, seeds):
+        graphs = {}
+        for seed in seeds:
+            g = component(seed)
+            graphs[g.highest_weight_node] = g
+        expected = sorted(
+            graphs.values(),
+            key=lambda g: (
+                tuple(p for p in g.weight_label if p),
+                _key(g.highest_weight_node),
+            ),
+        )
+        comps = decompose(u for g in graphs.values() for u in g.nodes)
+        assert [_parts(g) for g in comps] == [_parts(g) for g in expected]
+        assert [export_dot(g) for g in comps] == [export_dot(g) for g in expected]
+        assert [export_json(g) for g in comps] == [
+            export_json(g) for g in expected
+        ]
+
+
 class TestDecompose:
     def test_rank2_length2(self):
         comps = decompose(words_closure(2, 2))
@@ -184,6 +229,34 @@ class TestDecompose:
         with pytest.raises(NotClosed):
             decompose([Word.from_text("11", rank=2)])
 
+    @pytest.mark.parametrize("model", ["word", "ptableau"])
+    def test_each_one_node_deletion_is_not_closed(self, model):
+        nodes = words_closure(3, 3)
+        if model == "ptableau":
+            nodes = [ptableau_from_word(w) for w in nodes]
+        singles = {g.highest_weight_node for g in decompose(nodes) if len(g) == 1}
+        assert len(singles) == 1  # the component of 321
+        for k, gone in enumerate(nodes):
+            rest = nodes[:k] + nodes[k + 1:]
+            if gone in singles:
+                assert len(decompose(rest)) == 3
+                continue
+            with pytest.raises(NotClosed) as err:
+                decompose(rest)
+            # the deleted node is the only one outside the set
+            assert str(err.value) == f"operator image {_key(gone)} leaves the node set"
+
+    @pytest.mark.parametrize("model", ["word", "ptableau"])
+    def test_one_node_of_large_component_is_not_closed_before_size_cap(self, model):
+        seed = Word.from_text("11223", rank=4)
+        if model == "ptableau":
+            seed = ptableau_from_word(seed)
+        g = component(seed)
+        assert len(g) > 2
+        for node in g.nodes:
+            with pytest.raises(NotClosed):
+                decompose([node], max_nodes=2)
+
     def test_words_closure_cap_applies_before_enumeration(self):
         # 2**(10**18) words: refused at once, without computing the power
         with pytest.raises(SizeLimitExceeded):
@@ -191,6 +264,15 @@ class TestDecompose:
         with pytest.raises(SizeLimitExceeded):
             words_closure(3, 4, max_nodes=80)
         assert len(words_closure(3, 4, max_nodes=81)) == 81
+        # ranks 0 and 1 have at most one word, however long: its letters
+        # count against the cap too, before anything is built
+        with pytest.raises(SizeLimitExceeded):
+            words_closure(1, 2 * 10**6, max_nodes=10**6)
+        for rank in (0, 1):
+            with pytest.raises(SizeLimitExceeded):
+                words_closure(rank, 11, max_nodes=10)
+        assert words_closure(1, 10, max_nodes=10) == [Word(1, (1,) * 10)]
+        assert words_closure(0, 10, max_nodes=10) == []
 
     def test_component_count_agrees_with_distinct_recordings(self):
         # two words lie in the same component iff their minimal-parsing
