@@ -29,6 +29,16 @@ def _serialize(node) -> str:
     return node.to_text()
 
 
+def _order_key(top):
+    """The order of components in :func:`decompose`, total on nodes."""
+    return (
+        _trimmed(weight(top)),
+        _serialize(top),
+        _rank(top),
+        getattr(top, "content_bound", 0),
+    )
+
+
 class CrystalGraph:
     """A connected crystal graph: nodes plus lowering-operator edges.
 
@@ -140,6 +150,12 @@ def decompose(nodes, max_nodes: int = DEFAULT_MAX_NODES):
     refuses a node outside the set as soon as it meets one
     (:class:`NotClosed`).  A set whose every closure stays inside it is a
     union of components, so no separate closedness check is needed.
+
+    Components come in order of trimmed highest weight, then of the
+    highest weight's serialization; ptableaux that serialize alike (they
+    differ only in ``content_bound``, or in rank with no rows to show it)
+    are ordered by rank, then by ``content_bound``, so the order never
+    depends on the iteration order of the set.
     """
     node_set = set(nodes)
     met = set()
@@ -150,9 +166,7 @@ def decompose(nodes, max_nodes: int = DEFAULT_MAX_NODES):
         down, top = _raise_closure(seed, max_nodes, within=node_set)
         met.update(down)
         components.append(_build(down, top))
-    components.sort(
-        key=lambda g: (_trimmed(g.weight_label), _serialize(g.highest_weight_node))
-    )
+    components.sort(key=lambda g: _order_key(g.highest_weight_node))
     return components
 
 

@@ -182,6 +182,8 @@ class TestDecomposeProperties:
             key=lambda g: (
                 tuple(p for p in g.weight_label if p),
                 _key(g.highest_weight_node),
+                # ptableaux that print alike differ in content_bound
+                getattr(g.highest_weight_node, "content_bound", 0),
             ),
         )
         comps = decompose(u for g in graphs.values() for u in g.nodes)
@@ -199,6 +201,17 @@ class TestDecompose:
         labels = sorted(tuple(g.weight_label) for g in comps)
         assert sizes == [1, 3]
         assert labels == [(1, 1), (2, 0)]
+
+    def test_ptableaux_printed_alike_order_by_content_bound(self):
+        empty = Word(2, ())
+        tabs = [
+            ptableau_from_word(ParsedWord(empty, cuts))
+            for cuts in ((0, 0, 0), (0,), (0, 0))
+        ]
+        assert len({t.to_text() for t in tabs}) == 1
+        for order in (tabs, tabs[::-1]):
+            comps = decompose(order)
+            assert [g.highest_weight_node.content_bound for g in comps] == [2, 3, 4]
 
     def test_single_component_set(self):
         g = component(Word.from_text("1112", rank=3))
