@@ -191,6 +191,8 @@ def ptableau_from_word(pw, rows: int | None = None) -> PTableau:
     if isinstance(pw, Word):
         pw = minimal_parsing(pw)
     n = pw.rank if rows is None else rows
+    if rows is not None and rows < max(pw.word.letters, default=0):
+        raise PTableauError(f"rows must be at least 0 and every letter, not {rows}")
     counts = [[0] * pw.num_factors for _ in range(n)]
     for s, factor in enumerate(pw.factors):
         for letter in factor:

@@ -26,6 +26,7 @@ from .core import (
     PTableau,
     Word,
     _grid_from_text,
+    _letters_from_text,
     is_anti_partition_shaped,
     is_minimally_parsed,
     is_partition_shaped,
@@ -84,9 +85,16 @@ def _parse_partition(text: str):
 
 
 def _load_parsed(text: str, rank, cuts) -> ParsedWord:
-    if "|" in text or cuts:
-        if cuts:
-            text = cuts
+    """The parsed word ``text``; ``cuts`` (--parse) re-cuts its letters."""
+    if cuts:
+        pw = ParsedWord.from_text(cuts, rank)
+        letters = [a for piece in text.split("|") for a in _letters_from_text(piece)]
+        if pw.word.letters != tuple(letters):
+            raise PTableauError(
+                f"--parse {cuts} does not cut the letters of {text.strip()}"
+            )
+        return pw
+    if "|" in text:
         return ParsedWord.from_text(text, rank)
     return minimal_parsing(Word.from_text(text, rank))
 

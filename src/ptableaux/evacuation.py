@@ -1,5 +1,9 @@
 """Jeu de taquin slides, evacuation, Lusztig involution, and the push
-algorithms computing commutators of highest weight tensor products."""
+algorithms computing commutators of highest weight tensor products.
+
+One slide rule, :func:`_slide`, moves every cell: evacuation slides blanks
+inward, and the pushes slide one tensor factor's cells through the other's.
+Each slides in place on one list-of-lists grid and freezes it at the end."""
 from __future__ import annotations
 
 from math import inf
@@ -14,37 +18,47 @@ from .errors import (
 from .operators import rotate
 
 
-def inward_slide_step(grid, pos):
-    """One inward slide of the blank at ``pos``.
+def _slide(grid, r, c, step, value_at):
+    """Move the cell at (r, c) of a list-of-lists grid in place, step by
+    step (``step`` -1: up or left, +1: down or right), yielding each position.
 
-    With content b above and c to the left, the blank swaps with b iff
-    b >= c, otherwise with c; a single content neighbor is taken; with
-    neither the blank is fixed.  Returns (grid, new position).
-    """
+    ``value_at(r, c)`` is the value the cell may swap with there, or None.
+    The vertical neighbour is taken unless the horizontal one is strictly
+    larger (going up) or smaller (going down); with neither the cell stops."""
+    while True:
+        vert, horiz = value_at(r + step, c), value_at(r, c + step)
+        if vert is None and horiz is None:
+            return
+        if vert is not None and (horiz is None or step * vert <= step * horiz):
+            tr, tc = r + step, c
+        else:
+            tr, tc = r, c + step
+        grid[r][c], grid[tr][tc] = grid[tr][tc], grid[r][c]
+        r, c = tr, tc
+        yield r, c
+
+
+def _inward(grid, pos):
+    """The inward slide of the blank at ``pos`` of a list-of-lists grid."""
+    return _slide(
+        grid, *pos, -1, lambda r, c: grid[r][c] if r >= 0 and c >= 0 else None
+    )
+
+
+def inward_slide_step(grid, pos):
+    """One inward step of the blank at ``pos``: it takes the content above
+    unless the content on its left is strictly larger; with neither it is
+    fixed.  Returns (grid, new position)."""
     grid = [list(row) for row in grid]
-    r, c = pos
-    above = grid[r - 1][c] if r > 0 else None
-    left = grid[r][c - 1] if c > 0 else None
-    if above is None and left is None:
-        return tuple(tuple(row) for row in grid), pos
-    if left is None or (above is not None and above >= left):
-        grid[r][c], grid[r - 1][c] = above, None
-        new = (r - 1, c)
-    else:
-        grid[r][c], grid[r][c - 1] = left, None
-        new = (r, c - 1)
-    return tuple(tuple(row) for row in grid), new
+    new = next(_inward(grid, pos), pos)
+    return tuple(map(tuple, grid)), new
 
 
 def _run_blank(grid, pos):
     """Slide one blank inward until fixed; returns (grid, path)."""
-    path = [pos]
-    while True:
-        grid, new = inward_slide_step(grid, pos)
-        if new == pos:
-            return grid, tuple(path)
-        pos = new
-        path.append(pos)
+    grid = [list(row) for row in grid]
+    path = (pos, *_inward(grid, pos))
+    return tuple(map(tuple, grid)), path
 
 
 def processable_corners(grid):
@@ -82,14 +96,10 @@ def evacuate_with_paths(tab: PTableau):
     """
     if not is_partition_shaped(tab):
         raise NotPartitionShaped("evacuation requires a partition-shaped input")
-    grid = tab.grid
+    grid = [list(row) for row in tab.grid]
     paths = []
-    while True:
-        corners = processable_corners(grid)
-        if not corners:
-            break
-        grid, path = _run_blank(grid, corners[0])
-        paths.append(path)
+    while corners := processable_corners(grid):
+        paths.append((corners[0], *_inward(grid, corners[0])))
     return PTableau._from_rows(_row_values(grid), tab.content_bound), paths
 
 
@@ -211,19 +221,8 @@ def _push(product: PTableau, mu_bound: int, down: bool):
         ]
         cells.sort(key=lambda rc: rc[1], reverse=down)
         for r, c in cells:
-            while True:
-                # the vertical neighbour is taken unless the horizontal one
-                # is strictly smaller (going down) or larger (going up)
-                vert, horiz = other_at(r + step, c), other_at(r, c + step)
-                if vert is None and horiz is None:
-                    break
-                if vert is not None and (horiz is None or step * vert <= step * horiz):
-                    tr, tc = r + step, c
-                else:
-                    tr, tc = r, c + step
-                tagged[r][c], tagged[tr][tc] = tagged[tr][tc], tagged[r][c]
-                r, c = tr, tc
-                states.append(tuple(tuple(row) for row in tagged))
+            for _ in _slide(tagged, r, c, step, other_at):
+                states.append(tuple(map(tuple, tagged)))
     # the right factor's content now comes first, the left factor's after it
     rows_values = [
         [v if tag == _NU else v + nu_bound for tag, v in filter(None, row)]

@@ -204,7 +204,7 @@ def _exhaust(obj, op):
         else:
             obj = nxt
             seq.append(i)
-            i = 1
+            i = max(i - 1, 1)  # op at i moved rows i, i+1: below i-1 stays undefined
     return obj, tuple(seq)
 
 

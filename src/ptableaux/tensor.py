@@ -42,7 +42,7 @@ def highest_weight_ptableau(parts, rows: int | None = None) -> PTableau:
     """The ptableau whose i-th row holds parts[i] copies of i (the canonical
     highest weight node of its component)."""
     parts = tuple(parts)
-    if any(a < b for a, b in zip(parts, parts[1:])):
+    if any(a < b for a, b in zip(parts, parts[1:])) or any(p < 0 for p in parts):
         raise ShapeError(f"{parts} is not a partition")
     n = len(parts) if rows is None else rows
     if rows is not None and rows < len(parts):

@@ -1,15 +1,16 @@
 """Independent references for the canonical packing, the ptableau operators,
 the shape predicates, the tensor product, evacuation's outer corners and
-minimal parsing.
+slide, minimal parsing and the raise/lower-to-exhaustion loop.
 
 ``search_pack_rows`` is the column search the library used before it read
 each cell's column off the width law: it tries every column from the left
 until the ptableau conditions hold.  The grid rule below finds the moving
 value on the justified two-row restriction, as the paper states it, and
 packs only with ``search_pack_rows``; the shape predicates, the tensor
-product and minimal parsing read the packed grid, and the corners rescan
-each blank's northwest quadrant.  Nothing here calls the library's packer,
-its operators or its count matrix.
+product and minimal parsing read the packed grid, the corners rescan
+each blank's northwest quadrant, and the slide rebuilds the grid per step.
+Nothing here calls the library's packer, its operators or its count matrix;
+``exhaust`` applies the operator it is given.
 """
 
 
@@ -196,3 +197,39 @@ def grid_minimally_parsed(grid, bound):
     if any(not cells for cells in strips.values()):
         return False
     return all(strips[v][0][0] > strips[v - 1][-1][0] for v in range(2, bound + 1))
+
+
+def slide_step(grid, pos):
+    """One inward slide of the blank at ``pos`` on a fresh copy of ``grid``:
+    with content b above and c to the left it swaps with b iff b >= c,
+    otherwise with c; a single content neighbor is taken; with neither the
+    blank is fixed.  Returns (grid, new position)."""
+    grid = [list(row) for row in grid]
+    r, c = pos
+    above = grid[r - 1][c] if r > 0 else None
+    left = grid[r][c - 1] if c > 0 else None
+    if above is None and left is None:
+        return tuple(tuple(row) for row in grid), pos
+    if left is None or (above is not None and above >= left):
+        grid[r][c], grid[r - 1][c] = above, None
+        new = (r - 1, c)
+    else:
+        grid[r][c], grid[r][c - 1] = left, None
+        new = (r, c - 1)
+    return tuple(tuple(row) for row in grid), new
+
+
+def exhaust(obj, op, rank):
+    """Apply ``op`` until no index below ``rank`` applies, restarting at
+    index 1 after every step; returns (result, index sequence)."""
+    seq = []
+    i = 1
+    while i < rank:
+        nxt = op(obj, i)
+        if nxt is None:
+            i += 1
+        else:
+            obj = nxt
+            seq.append(i)
+            i = 1
+    return obj, tuple(seq)

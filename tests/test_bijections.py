@@ -64,6 +64,14 @@ class TestPtableauFromWord:
         t = ptableau_from_word(ParsedWord.from_text("322|3311|222|3"))
         assert t.to_text() == ". . . 2 2 .\n. 1 1 3 3 3\n1 2 2 4 . ."
 
+    def test_rows_below_a_letter_or_negative_are_typed(self):
+        with pytest.raises(PTableauError):
+            ptableau_from_word(Word(3, (3,)), rows=2)
+        with pytest.raises(PTableauError):
+            ptableau_from_word(Word(3, ()), rows=-1)
+        assert ptableau_from_word(Word(3, (3,)), rows=3).rows == 3
+        assert ptableau_from_word(Word(3, ()), rows=0).rows == 0
+
 
 class TestInverse:
     def test_intro_inverse(self):

@@ -29,6 +29,24 @@ class TestConvert:
         )
         assert code == 0 and out.strip() == INTRO_T
 
+    def test_parse_of_other_letters_is_exit_1(self, capsys):
+        for argv in (
+            ("convert", "--to", "ptab", "--parse", "21|22", "3333"),
+            ("convert", "--to", "ptab", "--parse", "21|22", "2,1,2"),
+            ("convert", "--to", "ptab", "--parse", "21|22", "22|21"),
+            ("apply", "--ops", "e1", "--in", "3333", "--parse", "21|22"),
+            ("hw", "--in", "3333", "--parse", "21|22"),
+            ("crystal", "--seed", "3333", "--parse", "21|22"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == "" and err.startswith("error: ")
+        # the same letters, written as a word, a parsed word or with commas
+        for value in ("2122", "21|22", "2,1,2,2"):
+            code, out, _ = run(
+                capsys, "convert", "--to", "parsed", "--parse", "2|1|22", value
+            )
+            assert code == 0 and out == "2|1|22\n"
+
     def test_ptab_to_word_roundtrip(self, capsys):
         code, out, _ = run(
             capsys, "convert", "--from", "ptab", "--to", "parsed", INTRO_T
@@ -207,6 +225,12 @@ class TestGraphCommands:
         # 0**length has no value for a negative length: refused, not raised
         code, out, err = run(capsys, "decompose", "--rank", "0", "--length", "-1")
         assert code == 1 and err.startswith("error: ") and out == ""
+
+    def test_lr_negative_part_is_exit_1(self, capsys):
+        code, out, err = run(
+            capsys, "lr", "--mu", "2,-1", "--nu", "1", "--lambda", "3", "--rank", "2"
+        )
+        assert code == 1 and out == "" and err.startswith("error: ")
 
     def test_lr_with_verify(self, capsys):
         code, out, _ = run(

@@ -7,8 +7,12 @@ value, so arbitrary contents generate arbitrary ptableaux.
 from hypothesis import given, settings, strategies as st
 
 from ptableaux import (
+    Biword,
+    NNMatrix,
     ParsedWord,
     Word,
+    biword_from_matrix,
+    biword_from_parsed,
     dual,
     evacuate,
     evacuation_as_operators,
@@ -17,6 +21,8 @@ from ptableaux import (
     is_bss_pair,
     is_minimally_parsed,
     is_partition_shaped,
+    lowering_operator,
+    matrix_from_biword,
     matrix_from_ptableau,
     minimal_parsing,
     processable_corners,
@@ -28,13 +34,17 @@ from ptableaux import (
     push_down,
     push_states,
     push_up,
+    raising_operator,
     restrict,
+    rsk,
     tensor,
     to_highest_weight,
     to_lowest_weight,
 )
 from ptableaux.core import PTableau, _pack_rows
+from ptableaux.evacuation import _run_blank, inward_slide_step
 from reference import (
+    exhaust,
     grid_anti_partition_shaped,
     grid_epsilon,
     grid_lowering,
@@ -45,6 +55,7 @@ from reference import (
     grid_tensor,
     quadrant_corners,
     search_pack_rows,
+    slide_step,
 )
 
 
@@ -122,6 +133,18 @@ class TestOperatorProperties:
             down = ptab_lowering(tab, i)
             if down is not None:
                 assert ptab_raising(down, i) == tab
+
+    @settings(max_examples=300, deadline=None)
+    @given(ptableaux(min_rows=0), parsed_words())
+    def test_exhaustion_matches_restart_at_one(self, tab, pw):
+        for obj, rank in (
+            (tab, tab.rows),
+            (pw, pw.rank),
+            (pw.word, pw.rank),
+            (ptableau_from_word(pw), pw.rank),
+        ):
+            assert to_highest_weight(obj) == exhaust(obj, raising_operator, rank)
+            assert to_lowest_weight(obj) == exhaust(obj, lowering_operator, rank)
 
 
 class TestCountMatrix:
@@ -229,11 +252,34 @@ class TestGridReaders:
 
 class TestEvacuationAndPush:
     @settings(max_examples=200, deadline=None)
+    @given(st.data(), parsed_words())
+    def test_slides_match_the_per_step_rebuild(self, data, pw):
+        top = to_highest_weight(ptableau_from_word(pw))[0].grid
+        width = len(top[0]) if top else 0
+        blanks = data.draw(st.lists(st.booleans(), min_size=len(top) * width))
+        holed = tuple(
+            tuple(None if blanks[r * width + c] else v for c, v in enumerate(row))
+            for r, row in enumerate(top)
+        )
+        for grid in (top, holed):
+            for pos in [(r, c) for r, row in enumerate(grid)
+                        for c, v in enumerate(row) if v is None]:
+                assert inward_slide_step(grid, pos) == slide_step(grid, pos)
+                expected, path = grid, [pos]
+                while True:
+                    expected, new = slide_step(expected, path[-1])
+                    if new == path[-1]:
+                        break
+                    path.append(new)
+                assert _run_blank(grid, pos) == (expected, tuple(path))
+
+    @settings(max_examples=200, deadline=None)
     @given(parsed_words())
     def test_evacuation_is_lowest_weight_and_an_operator_product(self, pw):
         tab = to_highest_weight(ptableau_from_word(pw))[0]
         target = evacuate(tab)
-        assert target == to_lowest_weight(tab)[0]
+        # the paper's law: the evacuation word is the lowering sequence
+        assert (target, evacuation_as_operators(tab)) == to_lowest_weight(tab)
         for i in evacuation_as_operators(tab):
             tab = ptab_lowering(tab, i)
             assert tab is not None
@@ -256,3 +302,46 @@ class TestEvacuationAndPush:
         for down in (True, False):
             for state in push_states(product, split, down=down):
                 assert is_bss_pair(state)
+
+
+def _with_rows(tab, n):
+    """``tab`` with empty rows appended or trimmed to ``n`` rows."""
+    rows = [list(row) for row in tab.row_values()]
+    assert not any(rows[n:])
+    return PTableau._from_rows((rows + [[]] * n)[:n], tab.content_bound)
+
+
+@st.composite
+def nn_biwords(draw):
+    """The biword of a random matrix with zero rows and columns, its ranks
+    raised by up to 2."""
+    top, bottom = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    cell = st.integers(0, 2) | st.just(0)
+    entries = draw(st.lists(
+        st.lists(cell, min_size=bottom, max_size=bottom), min_size=top, max_size=top
+    ))
+    bw = biword_from_matrix(NNMatrix(entries))
+    return Biword(
+        bw.top_rank + draw(st.integers(0, 2)),
+        bw.bottom_rank + draw(st.integers(0, 2)),
+        bw.columns,
+    )
+
+
+class TestRSK:
+    @settings(max_examples=300, deadline=None)
+    @given(parsed_words(), nn_biwords())
+    def test_rsk_pair_is_two_highest_weights(self, pw, nbw):
+        # T counts the r+1's over s+1 in counts[r][s]: Q is its highest
+        # weight and P that of its dual, padded to the biword's ranks
+        for bw in (biword_from_parsed(pw), nbw):
+            over = matrix_from_biword(bw).entries  # over[s][r]
+            counts = tuple(
+                tuple(over[s][r] for s in range(bw.top_rank))
+                for r in range(bw.bottom_rank)
+            )
+            t = PTableau._from_counts(counts, bw.top_rank)
+            pair = rsk(bw)
+            q = _with_rows(to_highest_weight(t)[0], bw.top_rank)
+            p = _with_rows(to_highest_weight(dual(t))[0], bw.bottom_rank)
+            assert (pair.insertion, pair.recording) == (p, q)

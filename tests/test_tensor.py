@@ -106,6 +106,15 @@ class TestHighestWeightTensor:
         assert shape(prod) == (10, 8, 5, 4)
 
 
+class TestHighestWeightPtableau:
+    def test_negative_part_is_refused(self):
+        for parts in ((2, -1), (-1,), (0, -1)):
+            with pytest.raises(ShapeError):
+                highest_weight_ptableau(parts)
+            with pytest.raises(ShapeError):
+                highest_weight_ptableau(parts, rows=3)
+
+
 class TestWordCondition:
     def test_worked_example_true(self):
         t = tab(
