@@ -10,7 +10,13 @@ from .core import (
     minimal_parsing,
     shape,
 )
-from .errors import BiwordInvalid, DimensionMismatch, PTableauError
+from .errors import (
+    BiwordInvalid,
+    DimensionMismatch,
+    NotPartitionShaped,
+    PTableauError,
+    ShapeError,
+)
 
 
 def _ints(values):
@@ -153,9 +159,9 @@ class SSYTPair:
 
     def __init__(self, insertion: PTableau, recording: PTableau):
         if not (is_partition_shaped(insertion) and is_partition_shaped(recording)):
-            raise ValueError("both tableaux must be partition shaped")
+            raise NotPartitionShaped("both tableaux must be partition shaped")
         if shape(insertion) != shape(recording):
-            raise ValueError("tableaux have different shapes")
+            raise ShapeError("tableaux have different shapes")
         self.insertion = insertion
         self.recording = recording
 

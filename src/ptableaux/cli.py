@@ -58,6 +58,7 @@ from .graph import (
 )
 from .operators import apply_ops, to_highest_weight
 from .tensor import (
+    _partition,
     classical_lr_fillings,
     highest_weight_ptableau,
     lr_coefficient,
@@ -81,7 +82,7 @@ def _parse_partition(text: str):
     text = text.strip()
     if not text or text == "0":
         return ()
-    return tuple(int(t) for t in text.split(","))
+    return _partition(int(t) for t in text.split(","))
 
 
 def _load_parsed(text: str, rank, cuts) -> ParsedWord:
@@ -134,6 +135,8 @@ def _emit_ptableau(tab: PTableau, fmt: str) -> str:
 def cmd_convert(args) -> int:
     text = _read_input(args.value)
     source = _sniff_type(text, args.source)
+    if args.parse and source not in ("word", "parsed"):
+        raise PTableauError(f"--parse cuts words, not a {source} input")
     # normalize the input to a parsed word, the pivot model
     if source in ("word", "parsed"):
         pw = _load_parsed(text, args.rank, args.parse)

@@ -20,6 +20,13 @@ when it is read: reading the cells as the tableau's word (values in
 increasing order, each value's cells from the bottom row up), each cell's
 column is the length of the longest weakly decreasing subword ending at
 its letter, less one, so packing places every cell directly.
+
+Validation reads grids in word order too.  Past the column check, a
+value's cells form a horizontal strip iff their columns strictly increase,
+and the shadow condition holds iff each cell lies right of every earlier
+cell in its row or below.  With several bad pairs, an error names the
+first in that order (a shadow error with the first read of the rightmost
+earlier cells in the row or below).
 """
 from __future__ import annotations
 
@@ -29,6 +36,7 @@ from itertools import combinations
 from .errors import (
     ColumnStrictViolation,
     DimensionMismatch,
+    IndexOutOfRange,
     InvalidParsing,
     PTableauError,
     ShadowViolation,
@@ -220,7 +228,8 @@ def _normalize_grid(grid):
 
 
 def _row_values(grid):
-    return [[cell for cell in row if cell is not None] for row in grid]
+    """Each row's values in increasing order."""
+    return [sorted(cell for cell in row if cell is not None) for row in grid]
 
 
 def _grid_from_text(text: str):
@@ -294,56 +303,19 @@ def right_justify(grid):
 
 
 def row_equivalent(grid_a, grid_b) -> bool:
-    """True iff the two grids are members of the same ptableau class."""
+    """True iff the grids share a class: their dimensions and row contents."""
     grid_a = _normalize_grid(grid_a)
     grid_b = _normalize_grid(grid_b)
     if len(grid_a) != len(grid_b):
         raise DimensionMismatch("row counts differ")
-    if grid_a and grid_b and len(grid_a[0]) != len(grid_b[0]):
+    if grid_a and len(grid_a[0]) != len(grid_b[0]):
         return False
-    return left_justify(grid_a) == left_justify(grid_b)
+    return _row_values(grid_a) == _row_values(grid_b)
 
 
 def check_grid(grid) -> None:
-    """Raise a typed error unless ``grid`` satisfies the ptableau conditions."""
-    grid = _normalize_grid(grid)
-    cells_by_value: dict = {}
-    for r, row in enumerate(grid):
-        for c, v in enumerate(row):
-            if v is not None:
-                cells_by_value.setdefault(v, []).append((r, c))
-    # strict columns
-    width = len(grid[0]) if grid else 0
-    for c in range(width):
-        prev = None
-        for r in range(len(grid)):
-            v = grid[r][c]
-            if v is None:
-                continue
-            if prev is not None and v <= prev:
-                raise ColumnStrictViolation(
-                    f"column {c + 1} not strictly increasing"
-                )
-            prev = v
-    # horizontal strips
-    for v, cells in cells_by_value.items():
-        for (r1, c1), (r2, c2) in combinations(cells, 2):
-            if c1 == c2:
-                raise StripViolation(f"two {v}'s share column {c1 + 1}")
-            hi, lo = ((r1, c1), (r2, c2)) if r1 < r2 else ((r2, c2), (r1, c1))
-            if hi[0] < lo[0] and hi[1] <= lo[1]:
-                raise StripViolation(
-                    f"{v}-strip cell in row {hi[0] + 1} not right of row {lo[0] + 1}"
-                )
-    # northwest shadows
-    values = sorted(cells_by_value)
-    for i, j in combinations(values, 2):
-        for ri, ci in cells_by_value[i]:
-            for rj, cj in cells_by_value[j]:
-                if rj <= ri and cj <= ci:
-                    raise ShadowViolation(
-                        f"{j} at ({rj + 1},{cj + 1}) shadowed by {i} at ({ri + 1},{ci + 1})"
-                    )
+    """Raise the error :func:`validate_ptableau` raises for ``grid``, if any."""
+    validate_ptableau(grid)
 
 
 class PTableau:
@@ -479,25 +451,47 @@ class PTableau:
 
 
 def validate_ptableau(grid, content_bound: int | None = None) -> PTableau:
-    """Check every ptableau condition, then canonicalize.
-
-    All-blank columns are removed during canonicalization; the result's
-    column count is that of the left-justified class representative.
-    """
+    """The canonical ptableau of ``grid`` (all-blank columns dropped), once
+    it passes the column, strip and shadow checks in that order; the module
+    docstring says which cells an error names."""
     grid = _normalize_grid(grid)
-    check_grid(grid)
-    max_val = max((v for row in grid for v in row if v is not None), default=0)
-    if content_bound is None:
-        content_bound = max_val
-    elif content_bound < max_val:
+    for c, column in enumerate(zip(*grid)):
+        values = [v for v in column if v is not None]
+        if any(a >= b for a, b in zip(values, values[1:])):
+            raise ColumnStrictViolation(f"column {c + 1} not strictly increasing")
+    cells = sorted(  # word order
+        (v, -r, c) for r, row in enumerate(grid) for c, v in enumerate(row) if v
+    )
+    for (v, r, c), (w, r2, c2) in zip(cells, cells[1:]):
+        if v == w and c2 <= c:
+            raise StripViolation(
+                f"{v}-strip cell in row {1 - r2} not right of row {1 - r}"
+            )
+    top = cells[-1][0] if cells else 0
+    bound = top if content_bound is None else content_bound
+    counts = [[0] * max(bound, top) for _ in grid]
+    reach = [(0, None)] * len(grid)  # as in _pack_rows, with the cell that set it
+    for v, r, c in cells:
+        r = -r
+        if c < reach[r][0]:
+            i, ri, ci = reach[r][1]
+            raise ShadowViolation(
+                f"{v} at ({r + 1},{c + 1}) shadowed by {i} at ({ri + 1},{ci + 1})"
+            )
+        counts[r][v - 1] += 1
+        setter = (c + 1, (v, r, c))
+        while r >= 0 and reach[r][0] <= c:  # reach falls weakly down the rows
+            reach[r] = setter
+            r -= 1
+    if bound < top:
         raise PTableauError("content_bound below largest value present")
-    return PTableau._from_rows(_row_values(grid), content_bound)
+    return PTableau._from_counts(tuple(map(tuple, counts)), bound)
 
 
 def restrict(tab: PTableau, i: int) -> PTableau:
     """Two-row ptableau of rows i, i+1 (1-based) with blank columns dropped."""
     if not 1 <= i < tab.rows:
-        raise ValueError(f"row index {i} out of range")
+        raise IndexOutOfRange(f"row index {i} out of range")
     return PTableau._from_counts(tab.counts[i - 1 : i + 1], tab.content_bound)
 
 

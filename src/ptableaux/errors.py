@@ -37,6 +37,10 @@ class RankMismatch(PTableauError):
     """Crystal graphs over different ranks were combined."""
 
 
+class IndexOutOfRange(PTableauError):
+    """An operator or row index lies outside the rank."""
+
+
 class ShapeError(PTableauError):
     """Incompatible partition shapes (containment or size)."""
 

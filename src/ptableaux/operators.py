@@ -24,7 +24,7 @@ from .core import (
     is_anti_partition_shaped,
     is_partition_shaped,
 )
-from .errors import InternalInvariantError
+from .errors import IndexOutOfRange, InternalInvariantError
 
 
 def _rank(obj) -> int:
@@ -36,7 +36,7 @@ def _checked(obj, i: int):
     back as its plain word."""
     rank = _rank(obj)
     if not 1 <= i <= rank - 1:
-        raise ValueError(f"operator index {i} outside [1..{rank - 1}]")
+        raise IndexOutOfRange(f"operator index {i} outside [1..{rank - 1}]")
     return obj.word if isinstance(obj, ParsedWord) else obj
 
 

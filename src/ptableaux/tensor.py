@@ -38,12 +38,18 @@ def is_highest_weight_tensor(left: PTableau, right: PTableau) -> bool:
     return is_partition_shaped(tensor(left, right))
 
 
-def highest_weight_ptableau(parts, rows: int | None = None) -> PTableau:
-    """The ptableau whose i-th row holds parts[i] copies of i (the canonical
-    highest weight node of its component)."""
+def _partition(parts):
+    """``parts`` as a tuple, once it is weakly decreasing and non-negative."""
     parts = tuple(parts)
     if any(a < b for a, b in zip(parts, parts[1:])) or any(p < 0 for p in parts):
         raise ShapeError(f"{parts} is not a partition")
+    return parts
+
+
+def highest_weight_ptableau(parts, rows: int | None = None) -> PTableau:
+    """The ptableau whose i-th row holds parts[i] copies of i (the canonical
+    highest weight node of its component)."""
+    parts = _partition(parts)
     n = len(parts) if rows is None else rows
     if rows is not None and rows < len(parts):
         raise ShapeError("rows below partition length")
@@ -99,10 +105,7 @@ class SkewShape:
         inner = tuple(inner) + (0,) * (len(outer) - len(inner))
         if len(inner) > len(outer):
             raise ShapeError("inner partition longer than outer")
-        if any(a < b for a, b in zip(outer, outer[1:])):
-            raise ShapeError(f"{outer} is not a partition")
-        if any(a < b for a, b in zip(inner, inner[1:])):
-            raise ShapeError(f"{inner} is not a partition")
+        outer, inner = _partition(outer), _partition(inner)
         if any(m > l for l, m in zip(outer, inner)):
             raise ShapeError("inner partition not contained in outer")
         self.outer = outer
@@ -174,9 +177,7 @@ def classical_lr_fillings(lam, mu, nu):
     columns strictly increasing, and every reading-word prefix Yamanouchi.
     """
     skew = SkewShape(lam, mu)
-    nu = tuple(nu)
-    if any(a < b for a, b in zip(nu, nu[1:])) or any(a < 0 for a in nu):
-        raise ShapeError(f"{nu} is not a partition")
+    nu = _partition(nu)
     if skew.size() != sum(nu):
         raise ShapeError("content size does not match skew shape size")
     outer, inner = skew.outer, skew.inner

@@ -9,9 +9,16 @@ value on the justified two-row restriction, as the paper states it, and
 packs only with ``search_pack_rows``; the shape predicates, the tensor
 product and minimal parsing read the packed grid, the corners rescan
 each blank's northwest quadrant, and the slide rebuilds the grid per step.
-Nothing here calls the library's packer, its operators or its count matrix;
-``exhaust`` applies the operator it is given.
+``pairwise_check_grid`` is the grid check the library ran before it read
+the conditions in word order: it compares every pair of a value's cells
+and every pair of cells of two values.
+Nothing here calls the library's packer, its operators, its count matrix
+or its validation; ``exhaust`` applies the operator it is given.
 """
+from itertools import combinations
+
+from ptableaux.core import _normalize_grid
+from ptableaux.errors import ColumnStrictViolation, ShadowViolation, StripViolation
 
 
 def search_pack_rows(rows_values, n_rows):
@@ -233,3 +240,45 @@ def exhaust(obj, op, rank):
             seq.append(i)
             i = 1
     return obj, tuple(seq)
+
+
+def pairwise_check_grid(grid) -> None:
+    """Raise a typed error unless ``grid`` satisfies the ptableau conditions."""
+    grid = _normalize_grid(grid)
+    cells_by_value: dict = {}
+    for r, row in enumerate(grid):
+        for c, v in enumerate(row):
+            if v is not None:
+                cells_by_value.setdefault(v, []).append((r, c))
+    # strict columns
+    width = len(grid[0]) if grid else 0
+    for c in range(width):
+        prev = None
+        for r in range(len(grid)):
+            v = grid[r][c]
+            if v is None:
+                continue
+            if prev is not None and v <= prev:
+                raise ColumnStrictViolation(
+                    f"column {c + 1} not strictly increasing"
+                )
+            prev = v
+    # horizontal strips
+    for v, cells in cells_by_value.items():
+        for (r1, c1), (r2, c2) in combinations(cells, 2):
+            if c1 == c2:
+                raise StripViolation(f"two {v}'s share column {c1 + 1}")
+            hi, lo = ((r1, c1), (r2, c2)) if r1 < r2 else ((r2, c2), (r1, c1))
+            if hi[0] < lo[0] and hi[1] <= lo[1]:
+                raise StripViolation(
+                    f"{v}-strip cell in row {hi[0] + 1} not right of row {lo[0] + 1}"
+                )
+    # northwest shadows
+    values = sorted(cells_by_value)
+    for i, j in combinations(values, 2):
+        for ri, ci in cells_by_value[i]:
+            for rj, cj in cells_by_value[j]:
+                if rj <= ri and cj <= ci:
+                    raise ShadowViolation(
+                        f"{j} at ({rj + 1},{cj + 1}) shadowed by {i} at ({ri + 1},{ci + 1})"
+                    )

@@ -9,6 +9,7 @@ from ptableaux import (
     Biword,
     NNMatrix,
     ParsedWord,
+    SSYTPair,
     Word,
     biword_from_matrix,
     biword_from_parsed,
@@ -25,7 +26,12 @@ from ptableaux import (
     weight,
     word_from_ptableau,
 )
-from ptableaux.errors import BiwordInvalid, PTableauError
+from ptableaux.errors import (
+    BiwordInvalid,
+    NotPartitionShaped,
+    PTableauError,
+    ShapeError,
+)
 
 B = None
 
@@ -238,6 +244,17 @@ class TestRSK:
         pair = rsk(Biword(2, 3, [(2, 3)]))
         assert pair.insertion.to_text() == "3\n.\n."
         assert pair.recording.to_text() == "2\n."
+
+    def test_pair_of_non_partition_shapes_is_typed(self):
+        top = ptableau_from_word(ParsedWord.from_text("1|2"))  # shape (1, 1)
+        skew = ptableau_from_word(ParsedWord.from_text("21"))  # ". 1" over "1 ."
+        with pytest.raises(
+            NotPartitionShaped, match="^both tableaux must be partition shaped$"
+        ):
+            SSYTPair(skew, top)
+        row = ptableau_from_word(ParsedWord.from_text("11|"))  # shape (2,)
+        with pytest.raises(ShapeError, match="^tableaux have different shapes$"):
+            SSYTPair(top, row)
 
     def test_shape_matches_component_highest_weight(self):
         bw = biword_from_parsed(ParsedWord.from_text("21|22|331|331"))

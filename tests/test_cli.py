@@ -119,6 +119,18 @@ class TestConvert:
             assert code == 1 and out == ""
             assert err.startswith("error: ")
 
+    def test_parse_of_a_non_word_input_is_exit_1(self, capsys):
+        for argv in (
+            ("--from", "ptab", INTRO_T),
+            (INTRO_T,),  # sniffed as a ptableau
+            ("--from", "biword", "1 1\n1 2"),
+            ("--from", "matrix", "1 0\n0 1"),
+        ):
+            code, out, err = run(
+                capsys, "convert", "--to", "word", "--parse", "21|22", *argv
+            )
+            assert code == 1 and out == "" and err.startswith("error: --parse ")
+
 
 class TestApply:
     def test_raising_on_ptableau(self, capsys):
@@ -231,6 +243,14 @@ class TestGraphCommands:
             capsys, "lr", "--mu", "2,-1", "--nu", "1", "--lambda", "3", "--rank", "2"
         )
         assert code == 1 and out == "" and err.startswith("error: ")
+
+    def test_lr_lambda_not_a_partition_is_exit_1(self, capsys):
+        for lam in ("3,-1", "1,3"):
+            code, out, err = run(
+                capsys, "lr", "--mu", "2,1", "--nu", "1", "--lambda", lam, "--rank", "3"
+            )
+            parts = lam.replace(",", ", ")
+            assert (code, out, err) == (1, "", f"error: ({parts}) is not a partition\n")
 
     def test_lr_with_verify(self, capsys):
         code, out, _ = run(

@@ -24,6 +24,7 @@ from ptableaux import (
 from ptableaux.errors import (
     ColumnStrictViolation,
     DimensionMismatch,
+    IndexOutOfRange,
     InvalidParsing,
     PTableauError,
     ShadowViolation,
@@ -267,6 +268,12 @@ class TestWeightAndRestrict:
     def test_restrict_of_intro(self):
         t = ptableau_from_word(ParsedWord.from_text("21|22|331|331"))
         assert restrict(t, 1).grid == ((B, 1, B, 3, 4), (1, 2, 2, B, B))
+
+    def test_restrict_row_index_out_of_range_is_typed(self):
+        t = ptableau_from_word(Word(3, (1, 2)))
+        for i in (0, 3):
+            with pytest.raises(IndexOutOfRange, match=f"^row index {i} out of range$"):
+                restrict(t, i)
 
     def test_restrict_same_from_either_justification(self):
         for w in all_words(3, 5):

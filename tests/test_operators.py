@@ -11,6 +11,7 @@ from ptableaux import (
     is_lowest_weight,
     is_partition_shaped,
     is_yamanouchi,
+    lowering_operator,
     minimal_parsing,
     phi,
     ptab_epsilon,
@@ -18,6 +19,7 @@ from ptableaux import (
     ptab_phi,
     ptab_raising,
     ptableau_from_word,
+    raising_operator,
     rotate,
     rotate_word,
     to_highest_weight,
@@ -25,6 +27,7 @@ from ptableaux import (
     word_lowering,
     word_raising,
 )
+from ptableaux.errors import IndexOutOfRange
 
 B = None
 
@@ -66,6 +69,18 @@ class TestWordOperators:
                     out = op(pw, i)
                     if out is not None:
                         assert out.cuts == pw.cuts  # ctor revalidates factors
+
+
+class TestOperatorIndex:
+    def test_out_of_range_is_typed(self):
+        w = Word(3, (1, 2))
+        for obj in (w, minimal_parsing(w), ptableau_from_word(w)):
+            for i in (0, 3):
+                for op in (raising_operator, lowering_operator, epsilon, phi):
+                    with pytest.raises(
+                        IndexOutOfRange, match=rf"^operator index {i} outside \[1\.\.2\]$"
+                    ):
+                        op(obj, i)
 
 
 class TestPtabOperators:

@@ -2,8 +2,12 @@
 
 By the word-to-ptableau bijection every per-row content is the content of
 exactly one ptableau, for any ``content_bound`` at or above its largest
-value, so arbitrary contents generate arbitrary ptableaux.
+value, so arbitrary contents generate arbitrary ptableaux.  Validation is
+checked on arbitrary rectangular grids, valid or not, against the pairwise
+check in ``reference.py``.
 """
+from itertools import combinations
+
 from hypothesis import given, settings, strategies as st
 
 from ptableaux import (
@@ -36,12 +40,15 @@ from ptableaux import (
     push_up,
     raising_operator,
     restrict,
+    row_equivalent,
     rsk,
     tensor,
     to_highest_weight,
     to_lowest_weight,
+    validate_ptableau,
 )
 from ptableaux.core import PTableau, _pack_rows
+from ptableaux.errors import ColumnStrictViolation, PTableauError
 from ptableaux.evacuation import _run_blank, inward_slide_step
 from reference import (
     exhaust,
@@ -53,6 +60,7 @@ from reference import (
     grid_phi,
     grid_raising,
     grid_tensor,
+    pairwise_check_grid,
     quadrant_corners,
     search_pack_rows,
     slide_step,
@@ -87,6 +95,51 @@ def parsed_words(draw):
     return ParsedWord(word, sorted(minimal_parsing(word).cuts + tuple(extra)))
 
 
+@st.composite
+def grids(draw, rows=None):
+    """A rectangular grid of blanks and values 1-5, valid or not, with
+    ``rows`` rows (0-5 when None), and a content bound: None or 0-7.  The
+    number of values written is drawn first, so sparse grids, which break
+    fewer conditions at once, come as often as dense ones."""
+    n = draw(st.integers(0, 5)) if rows is None else rows
+    width = draw(st.integers(0, 6))
+    grid = [[None] * width for _ in range(n)]
+    for _ in range(draw(st.integers(0, n * width))):
+        r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, width - 1))
+        grid[r][c] = draw(st.integers(1, 5))
+    return grid, draw(st.none() | st.integers(0, 7))
+
+
+def _violating_pairs(grid):
+    """How many pairs of cells break a column, strip or shadow condition."""
+    cells = [(r, c, v) for r, row in enumerate(grid) for c, v in enumerate(row) if v]
+    n = 0
+    for (r1, c1, v1), (r2, c2, v2) in combinations(cells, 2):  # r1 <= r2
+        n += c1 == c2 and v1 >= v2  # column
+        n += v1 == v2 and r1 < r2 and c1 <= c2  # strip
+        n += v1 > v2 and c1 <= c2 or v1 < v2 and r1 == r2 and c2 <= c1  # shadow
+    return n
+
+
+def _reference_validation(grid, bound):
+    """The pairwise check, the bound check, and the ptableau of the rows."""
+    pairwise_check_grid(grid)
+    rows = [[v for v in row if v is not None] for row in grid]
+    top = max((v for row in rows for v in row), default=0)
+    if bound is None:
+        bound = top
+    elif bound < top:
+        raise PTableauError("content_bound below largest value present")
+    return PTableau._from_rows(rows, bound)
+
+
+def _outcome(validate, grid, bound):
+    try:
+        return validate(grid, bound), None
+    except PTableauError as exc:
+        return None, exc
+
+
 def _packed(tab):
     return tab.rows, tab.content_bound, tab.grid
 
@@ -97,6 +150,44 @@ class TestPacking:
     def test_width_law_matches_search(self, content):
         rows, _ = content
         assert _pack_rows(rows, len(rows)) == search_pack_rows(rows, len(rows))
+
+
+class TestValidation:
+    @settings(max_examples=800, deadline=None)
+    @given(grids())
+    def test_matches_pairwise_reference(self, sample):
+        grid, bound = sample
+        tab, error = _outcome(validate_ptableau, grid, bound)
+        expected, expected_error = _outcome(_reference_validation, grid, bound)
+        assert type(error) is type(expected_error)
+        if error is None:
+            assert tab == expected and tab.grid == expected.grid
+        elif isinstance(error, ColumnStrictViolation) or _violating_pairs(grid) <= 1:
+            # with several violating pairs another pair can be named
+            assert str(error) == str(expected_error)
+
+    @settings(max_examples=150, deadline=None)
+    @given(grids())
+    def test_is_idempotent(self, sample):
+        tab, error = _outcome(validate_ptableau, *sample)
+        if error is None:
+            again = validate_ptableau(tab.grid, tab.content_bound)
+            assert again == tab and again.to_text() == tab.to_text()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), grids())
+    def test_row_equivalence_is_equal_packing(self, data, sample):
+        grid, _ = sample
+        if data.draw(st.booleans()):  # the same rows, each shuffled
+            other = [data.draw(st.permutations(row)) for row in grid]
+        else:
+            other = data.draw(grids(rows=len(grid)))[0]
+        same_width = not grid or len(grid[0]) == len(other[0])
+        packs = [
+            search_pack_rows([[v for v in row if v is not None] for row in g], len(g))
+            for g in (grid, other)
+        ]
+        assert row_equivalent(grid, other) == (same_width and packs[0] == packs[1])
 
 
 class TestOperatorProperties:
