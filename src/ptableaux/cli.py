@@ -107,20 +107,21 @@ def _load_ptableau(text: str) -> PTableau:
     return PTableau.from_text(text)
 
 
-def _sniff_type(text: str, declared: str) -> str:
-    """The model named by --from/--type, or the one ``text`` looks like."""
-    if declared != "auto":
-        return declared
+def _sniff_type(text: str, declared: str, cuts) -> str:
+    """The model named by --from/--type, or the one ``text`` looks like;
+    ``cuts`` (--parse) is refused unless that model is a word."""
     stripped = text.strip()
-    if stripped.startswith("{") or "." in stripped or "\n" in stripped:
-        return "ptab"
-    return "word"
+    looks_ptab = stripped.startswith("{") or "." in stripped or "\n" in stripped
+    source = ("ptab" if looks_ptab else "word") if declared == "auto" else declared
+    if cuts and source not in ("word", "parsed"):
+        raise PTableauError(f"--parse cuts words, not a {source} input")
+    return source
 
 
 def _load_seed(text: str, args, as_ptableau: bool = True):
     """The --type/--rank/--parse input of apply, hw and crystal: a ptableau,
     or a parsed word, which ``as_ptableau`` replaces by its ptableau."""
-    if _sniff_type(text, args.type) == "ptab":
+    if _sniff_type(text, args.type, args.parse) == "ptab":
         return _load_ptableau(text)
     pw = _load_parsed(text, args.rank, args.parse)
     return ptableau_from_word(pw) if as_ptableau else pw
@@ -134,9 +135,7 @@ def _emit_ptableau(tab: PTableau, fmt: str) -> str:
 
 def cmd_convert(args) -> int:
     text = _read_input(args.value)
-    source = _sniff_type(text, args.source)
-    if args.parse and source not in ("word", "parsed"):
-        raise PTableauError(f"--parse cuts words, not a {source} input")
+    source = _sniff_type(text, args.source, args.parse)
     # normalize the input to a parsed word, the pivot model
     if source in ("word", "parsed"):
         pw = _load_parsed(text, args.rank, args.parse)

@@ -15,11 +15,12 @@ Ptableaux are considered up to row equivalence (sliding content past
 blanks within a row).  Every class has a unique left-justified member, and
 it depends only on the content of each row, so a class is its count
 matrix: how many s's sit in each row.  :class:`PTableau` stores, compares
-and hashes that matrix.  The left-justified grid is packed from it only
-when it is read: reading the cells as the tableau's word (values in
-increasing order, each value's cells from the bottom row up), each cell's
-column is the length of the longest weakly decreasing subword ending at
-its letter, less one, so packing places every cell directly.
+and hashes that matrix.  One packer reads it when the tableau is first
+shown: reading the cells as the tableau's word (values in increasing
+order, each value's cells from the bottom row up), each cell's column is
+the length of the longest weakly decreasing subword ending at its letter,
+less one, so a row's copies of one value fill a block of columns placed
+directly.  The text and the grid are both views of those blocks.
 
 Validation reads grids in word order too.  Past the column check, a
 value's cells form a horizontal strip iff their columns strictly increase,
@@ -227,11 +228,6 @@ def _normalize_grid(grid):
     return tuple(rows)
 
 
-def _row_values(grid):
-    """Each row's values in increasing order."""
-    return [sorted(cell for cell in row if cell is not None) for row in grid]
-
-
 def _grid_from_text(text: str):
     """Rows of the one-line-per-row text format; "." marks a blank."""
     try:
@@ -243,33 +239,33 @@ def _grid_from_text(text: str):
         raise PTableauError(str(exc)) from exc
 
 
-def _pack_rows(rows_values, n_rows: int):
-    """Left-justified canonical grid realizing the given per-row content.
+def _pack_rows(counts):
+    """Each row's runs ``(column, value, multiplicity)`` of the
+    left-justified ptableau of a count matrix, and its width.
 
     The cells are read as the tableau's word: values in increasing order,
     each value's cells from the bottom row up, so a cell in row r is one
     letter r.  By the width law a cell's column is the length of the
     longest weakly decreasing subword ending at its letter, less one: the
     first column right of every earlier cell in its row or below, which
-    ``reach[r]`` keeps.
+    ``reach[r]`` keeps.  A row's m cells of one value are consecutive
+    letters, so they fill the block of m columns from ``reach[r]`` on, and
+    every row r' <= r that reaches into the block is raised past it.
     """
-    reach = [0] * n_rows
-    cells = [[] for _ in range(n_rows)]
-    for v, r in sorted((v, -r) for r, row in enumerate(rows_values) for v in row):
-        r = -r
-        c = reach[r]
-        cells[r].append((c, v))
-        while r >= 0 and reach[r] == c:  # reach falls weakly down the rows
-            reach[r] = c + 1
-            r -= 1
-    width = reach[0] if n_rows else 0
-    grid = []
-    for row_cells in cells:
-        row = [None] * width
-        for c, v in row_cells:
-            row[c] = v
-        grid.append(tuple(row))
-    return tuple(grid)
+    reach = [0] * len(counts)
+    runs = [[] for _ in counts]
+    bottom_up = range(len(counts) - 1, -1, -1)
+    for v, column in enumerate(zip(*counts), 1):
+        for r in bottom_up:
+            m = column[r]
+            if m:
+                c = reach[r]
+                runs[r].append((c, v, m))
+                end = c + m
+                while r >= 0 and reach[r] < end:  # reach falls weakly down the rows
+                    reach[r] = end
+                    r -= 1
+    return runs, reach[0] if counts else 0
 
 
 def left_justify(grid):
@@ -279,10 +275,9 @@ def left_justify(grid):
     preserved.
     """
     grid = _normalize_grid(grid)
-    if not grid:
-        return grid
-    width = len(grid[0])
-    packed = _pack_rows(_row_values(grid), len(grid))
+    width = len(grid[0]) if grid else 0
+    top = max((v for row in grid for v in row if v), default=0)
+    packed = PTableau._from_rows(grid, top).grid
     return tuple(row + (None,) * (width - len(row)) for row in packed)
 
 
@@ -296,9 +291,7 @@ def _rotate_grid(grid, bound: int):
 def right_justify(grid):
     """The unique right-justified grid row-equivalent to ``grid``."""
     grid = _normalize_grid(grid)
-    if not grid:
-        return grid
-    bound = max((v for row in grid for v in row if v is not None), default=1)
+    bound = max((v for row in grid for v in row if v), default=1)
     return _rotate_grid(left_justify(_rotate_grid(grid, bound)), bound)
 
 
@@ -310,7 +303,9 @@ def row_equivalent(grid_a, grid_b) -> bool:
         raise DimensionMismatch("row counts differ")
     if grid_a and len(grid_a[0]) != len(grid_b[0]):
         return False
-    return _row_values(grid_a) == _row_values(grid_b)
+    return [sorted(filter(None, row)) for row in grid_a] == [
+        sorted(filter(None, row)) for row in grid_b
+    ]
 
 
 def check_grid(grid) -> None:
@@ -325,12 +320,14 @@ class PTableau:
     in row r (0-based), for s up to ``content_bound``, the largest content
     value the class admits; it can exceed the largest value actually
     present (words parsed with empty factors produce such gaps).  Equality
-    and the hash read only ``counts`` and ``content_bound``.  The grid and
-    its width ``cols`` are packed from the counts, and the text is rendered
-    from the grid, on first read, and kept.
+    and the hash read only ``counts`` and ``content_bound``.  The first read
+    of the text, the grid or its width ``cols`` packs the counts into each
+    row's runs of one value; every view is read off those runs and kept.
     """
 
-    __slots__ = ("rows", "content_bound", "counts", "_hash", "grid", "cols", "_text")
+    __slots__ = (
+        "rows", "content_bound", "counts", "_hash", "_runs", "cols", "grid", "_text"
+    )
 
     def __init__(self, grid, content_bound: int | None = None):
         other = validate_ptableau(grid, content_bound)
@@ -350,26 +347,35 @@ class PTableau:
 
     @classmethod
     def _from_rows(cls, rows_values, content_bound: int) -> "PTableau":
-        """The canonical ptableau with the given (trusted) per-row contents;
-        with :meth:`_from_counts`, the only constructors that skip
-        validation."""
-        counts = []
-        for row in rows_values:
-            count = [0] * content_bound
-            for v in row:
+        """The canonical ptableau with the given (trusted) per-row contents,
+        blanks (None) skipped; with :meth:`_from_counts`, the only
+        constructors that skip validation."""
+        counts = [[0] * content_bound for _ in rows_values]
+        for count, row in zip(counts, rows_values):
+            for v in filter(None, row):
                 count[v - 1] += 1
-            counts.append(tuple(count))
-        return cls._from_counts(tuple(counts), content_bound)
+        return cls._from_counts(tuple(map(tuple, counts)), content_bound)
 
     def __getattr__(self, name):
-        # reached only while a slot is unset: the grid, its width and its
-        # text are derived on first read and kept
-        if name == "grid" or name == "cols":
-            self.grid = grid = _pack_rows(self.row_values(), self.rows)
-            self.cols = len(grid[0]) if grid and grid[0] else 0
+        # reached only while a slot is unset: the packing, and the grid and
+        # text read off its runs, are derived on first read and kept
+        if name == "_runs" or name == "cols":
+            self._runs, self.cols = _pack_rows(self.counts)
+        elif name == "grid":
+            grid = [[None] * self.cols for _ in self._runs]
+            for row, runs in zip(grid, self._runs):
+                for c, v, m in runs:
+                    row[c : c + m] = (v,) * m
+            self.grid = tuple(map(tuple, grid))
         elif name == "_text":
-            rows = [["." if v is None else str(v) for v in row] for row in self.grid]
-            self._text = "\n".join([" ".join(row) for row in rows])
+            lines = []
+            for runs in self._runs:
+                line, end = "", 0
+                for c, v, m in runs:
+                    line += ". " * (c - end) + f"{v} " * m
+                    end = c + m
+                lines.append((line + ". " * (self.cols - end))[:-1])
+            self._text = "\n".join(lines)
         else:
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}"
@@ -378,14 +384,7 @@ class PTableau:
 
     def row_values(self):
         """Each row's values in increasing order."""
-        rows_values = []
-        for count in self.counts:
-            values = []
-            for s, n in enumerate(count, 1):
-                if n:
-                    values += [s] * n
-            rows_values.append(values)
-        return rows_values
+        return [[s for s, n in enumerate(c, 1) for _ in range(n)] for c in self.counts]
 
     def weight(self):
         return tuple(map(sum, self.counts))
@@ -454,6 +453,8 @@ def validate_ptableau(grid, content_bound: int | None = None) -> PTableau:
     """The canonical ptableau of ``grid`` (all-blank columns dropped), once
     it passes the column, strip and shadow checks in that order; the module
     docstring says which cells an error names."""
+    if content_bound is not None and type(content_bound) is not int:
+        raise PTableauError(f"content_bound {content_bound!r} is not an int")
     grid = _normalize_grid(grid)
     for c, column in enumerate(zip(*grid)):
         values = [v for v in column if v is not None]

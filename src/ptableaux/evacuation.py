@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from math import inf
 
-from .core import PTableau, _row_values, is_partition_shaped
+from .core import PTableau, is_partition_shaped
 from .errors import (
     InternalInvariantError,
     NotHighestWeight,
@@ -100,7 +100,7 @@ def evacuate_with_paths(tab: PTableau):
     paths = []
     while corners := processable_corners(grid):
         paths.append((corners[0], *_inward(grid, corners[0])))
-    return PTableau._from_rows(_row_values(grid), tab.content_bound), paths
+    return PTableau._from_rows(grid, tab.content_bound), paths
 
 
 def evacuate(tab: PTableau) -> PTableau:

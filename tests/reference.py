@@ -4,11 +4,13 @@ slide, minimal parsing and the raise/lower-to-exhaustion loop.
 
 ``search_pack_rows`` is the column search the library used before it read
 each cell's column off the width law: it tries every column from the left
-until the ptableau conditions hold.  The grid rule below finds the moving
-value on the justified two-row restriction, as the paper states it, and
-packs only with ``search_pack_rows``; the shape predicates, the tensor
-product and minimal parsing read the packed grid, the corners rescan
-each blank's northwest quadrant, and the slide rebuilds the grid per step.
+until the ptableau conditions hold.  ``grid_text`` renders a grid cell by
+cell, as the library did before it rendered from the packed runs.  The
+grid rule below finds the moving value on the justified two-row
+restriction, as the paper states it, and packs only with
+``search_pack_rows``; the shape predicates, the tensor product and minimal
+parsing read the packed grid, the corners rescan each blank's northwest
+quadrant, and the slide rebuilds the grid per step.
 ``pairwise_check_grid`` is the grid check the library ran before it read
 the conditions in word order: it compares every pair of a value's cells
 and every pair of cells of two values.
@@ -67,6 +69,12 @@ def search_pack_rows(rows_values, n_rows):
     return tuple(
         tuple(placed.get((r, c)) for c in range(width)) for r in range(n_rows)
     )
+
+
+def grid_text(grid):
+    """The one-line-per-row text of ``grid``; "." marks a blank."""
+    rows = [["." if v is None else str(v) for v in row] for row in grid]
+    return "\n".join([" ".join(row) for row in rows])
 
 
 def _values(row):

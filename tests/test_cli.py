@@ -1,6 +1,8 @@
 """Command line surface: every subcommand plus round trips and exit codes."""
 import json
 
+import pytest
+
 from ptableaux.cli import main
 
 INTRO_T = ". 1 . 3 4\n1 2 2 . .\n3 3 4 4 ."
@@ -130,6 +132,20 @@ class TestConvert:
                 capsys, "convert", "--to", "word", "--parse", "21|22", *argv
             )
             assert code == 1 and out == "" and err.startswith("error: --parse ")
+
+    @pytest.mark.parametrize(
+        "command",
+        [("apply", "--ops", "e1", "--in"), ("hw", "--in"), ("crystal", "--seed")],
+        ids=["apply", "hw", "crystal"],
+    )
+    def test_parse_of_a_ptab_seed_is_exit_1(self, capsys, command):
+        # apply, hw and crystal refuse --parse on a ptableau as convert does
+        for typed in (("--type", "ptab"), ()):  # declared or sniffed
+            code, out, err = run(
+                capsys, *command, ". 1\n1 .", *typed, "--parse", "1|1"
+            )
+            assert (code, out) == (1, "")
+            assert err == "error: --parse cuts words, not a ptab input\n"
 
 
 class TestApply:

@@ -282,10 +282,8 @@ class TestWeightAndRestrict:
             for i in (1, 2):
                 pair = [star[i - 1], star[i]]
                 values = [[v for v in row if v is not None] for row in pair]
-                from ptableaux.core import _pack_rows
-
                 assert PTableau(
-                    _pack_rows(values, 2), t.content_bound
+                    PTableau._from_rows(values, t.content_bound).grid, t.content_bound
                 ) == restrict(t, i)
 
 
@@ -399,3 +397,13 @@ class TestTextFormats:
             validate_ptableau([[1, 2]], 1)
         with pytest.raises(PTableauError):
             PTableau.from_text("1 2", 1)
+
+    def test_content_bound_that_is_not_an_int_is_typed(self):
+        for bound in (2.5, "3", True, False, 3.0):
+            with pytest.raises(PTableauError, match="^content_bound "):
+                validate_ptableau([[1, 2]], bound)
+            with pytest.raises(PTableauError, match="^content_bound "):
+                PTableau([[1, 2]], bound)
+            with pytest.raises(PTableauError, match="^content_bound "):
+                PTableau.from_text("1 2", bound)
+        assert PTableau([[1, 2]], 3).content_bound == 3

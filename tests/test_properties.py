@@ -6,7 +6,8 @@ value, so arbitrary contents generate arbitrary ptableaux.  Validation is
 checked on arbitrary rectangular grids, valid or not, against the pairwise
 check in ``reference.py``.
 """
-from itertools import combinations
+import json
+from itertools import combinations, permutations
 
 from hypothesis import given, settings, strategies as st
 
@@ -25,6 +26,7 @@ from ptableaux import (
     is_bss_pair,
     is_minimally_parsed,
     is_partition_shaped,
+    left_justify,
     lowering_operator,
     matrix_from_biword,
     matrix_from_ptableau,
@@ -40,6 +42,7 @@ from ptableaux import (
     push_up,
     raising_operator,
     restrict,
+    right_justify,
     row_equivalent,
     rsk,
     tensor,
@@ -47,7 +50,8 @@ from ptableaux import (
     to_lowest_weight,
     validate_ptableau,
 )
-from ptableaux.core import PTableau, _pack_rows
+from ptableaux import core
+from ptableaux.core import PTableau
 from ptableaux.errors import ColumnStrictViolation, PTableauError
 from ptableaux.evacuation import _run_blank, inward_slide_step
 from reference import (
@@ -60,8 +64,10 @@ from reference import (
     grid_phi,
     grid_raising,
     grid_tensor,
+    grid_text,
     pairwise_check_grid,
     quadrant_corners,
+    right_justified,
     search_pack_rows,
     slide_step,
 )
@@ -144,12 +150,82 @@ def _packed(tab):
     return tab.rows, tab.content_bound, tab.grid
 
 
+@st.composite
+def valid_grids(draw):
+    """A valid, generally not justified grid: a content's reference packing,
+    widened by up to 3 blank columns, after random moves of a cell one
+    column right onto a blank that keep the pairwise check passing."""
+    rows, _ = draw(contents(max_value=12))
+    packed = search_pack_rows(rows, len(rows))
+    width = (len(packed[0]) if packed else 0) + draw(st.integers(0, 3))
+    grid = [list(row) + [None] * (width - len(row)) for row in packed]
+    for _ in range(draw(st.integers(0, 20))):
+        movable = [
+            (r, c) for r, row in enumerate(grid) for c in range(width - 1)
+            if row[c] is not None and row[c + 1] is None
+        ]
+        if not movable:
+            break
+        r, c = draw(st.sampled_from(movable))
+        row = grid[r]
+        row[c], row[c + 1] = None, row[c]
+        try:
+            pairwise_check_grid(grid)
+        except PTableauError:
+            row[c], row[c + 1] = row[c + 1], None
+    return [tuple(row) for row in grid]
+
+
 class TestPacking:
     @settings(max_examples=400, deadline=None)
     @given(contents())
     def test_width_law_matches_search(self, content):
-        rows, _ = content
-        assert _pack_rows(rows, len(rows)) == search_pack_rows(rows, len(rows))
+        rows, bound = content
+        assert PTableau._from_rows(rows, bound).grid == search_pack_rows(rows, len(rows))
+
+    @settings(max_examples=400, deadline=None)
+    @given(contents(max_value=12))
+    def test_views_match_reference_packing_and_render(self, content):
+        # values past 9 take two digits; rows may be empty and the bound
+        # may exceed the largest value
+        rows, bound = content
+        counts = tuple(tuple(row.count(s) for s in range(1, bound + 1)) for row in rows)
+        tab = PTableau._from_counts(counts, bound)
+        grid = search_pack_rows(rows, len(rows))
+        cols = len(grid[0]) if grid else 0
+        assert (tab.grid, tab.cols, tab.to_text()) == (grid, cols, grid_text(grid))
+        obj = {"rows": len(rows), "cols": cols, "grid": [list(row) for row in grid]}
+        assert tab.to_json() == json.dumps(obj, sort_keys=True)
+
+    def test_each_node_packs_once_whatever_views_are_read(self):
+        packs = []
+        original = core._pack_rows
+        core._pack_rows = lambda counts: packs.append(counts) or original(counts)
+        views = (
+            PTableau.to_text, PTableau.to_json, lambda t: t.grid, lambda t: t.cols
+        )
+        try:
+            for order in permutations(views):
+                packs.clear()
+                tab = PTableau._from_rows([[1, 3], [2, 2], [], [10]], 11)
+                for read in order + order:
+                    read(tab)
+                assert packs == [tab.counts]
+        finally:
+            core._pack_rows = original
+
+    @settings(max_examples=300, deadline=None)
+    @given(valid_grids())
+    def test_justification_matches_reference(self, grid):
+        width = len(grid[0]) if grid else 0
+        rows = [[v for v in row if v is not None] for row in grid]
+        left = search_pack_rows(rows, len(rows))
+        assert left_justify(grid) == tuple(
+            row + (None,) * (width - len(row)) for row in left
+        )
+        assert right_justify(grid) == tuple(
+            (None,) * (width - len(row)) + row for row in right_justified(grid)
+        )
 
 
 class TestValidation:
