@@ -1,6 +1,7 @@
 """Bijections among parsed words, biwords, matrices, ptableaux and RSK pairs."""
 from __future__ import annotations
 
+from itertools import chain
 
 from .core import (
     ParsedWord,
@@ -22,7 +23,7 @@ from .errors import (
 def _ints(values):
     """``values`` as a tuple of ints; a value that is not one is a typed error."""
     try:
-        return tuple(int(x) for x in values)
+        return tuple(map(int, values))
     except ValueError as exc:
         raise PTableauError(str(exc)) from exc
 
@@ -79,8 +80,9 @@ class Biword:
 
     @classmethod
     def from_text(cls, text: str, top_rank=None, bottom_rank=None):
-        """Two lines of space-separated integers."""
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+        """Two lines of space-separated integers; whitespace alone is the
+        empty biword, whose two lines are empty."""
+        lines = [ln for ln in text.strip().splitlines() if ln.strip()] or ["", ""]
         if len(lines) != 2:
             raise BiwordInvalid("expected two lines")
         top, bottom = (_ints(line.split()) for line in lines)
@@ -114,13 +116,10 @@ class NNMatrix:
 
     def __init__(self, entries):
         entries = tuple(map(_ints, entries))
-        widths = {len(row) for row in entries}
-        if len(widths) > 1:
+        if len(set(map(len, entries))) > 1:
             raise DimensionMismatch("matrix is not rectangular")
-        for row in entries:
-            for x in row:
-                if x < 0:
-                    raise PTableauError("negative entry")
+        if min(chain.from_iterable(entries), default=0) < 0:
+            raise PTableauError("negative entry")
         self.entries = entries
         self.rows = len(entries)
         self.cols = len(entries[0]) if entries else 0
@@ -184,7 +183,14 @@ class SSYTPair:
 
 
 # ---------------------------------------------------------------------------
-# words <-> ptableaux
+# count readers and writers
+#
+# The count matrix of a ptableau is the pivot of every model: each model
+# has one reader of counts and one writer, and every other bijection is a
+# composition through them.  A parsed word counts each letter in each
+# factor (rows are letters, values are factors); a matrix is the transpose
+# of those counts, the counts of the dual; a biword counts each bottom
+# under each top, which is the matrix.
 
 
 def ptableau_from_word(pw, rows: int | None = None) -> PTableau:
@@ -218,25 +224,18 @@ def word_from_ptableau(tab: PTableau) -> ParsedWord:
     return ParsedWord._from_factors(tab.rows, factors)
 
 
-# ---------------------------------------------------------------------------
-# biwords and matrices
+def dual(tab: PTableau) -> PTableau:
+    """The dual ptableau: row i of the input, read right to left, names the
+    rows of the i-strip of the output.  Its count matrix is the transpose of
+    the input's, so it is an involution.  Read as the counts of a ptableau
+    with ``cols`` values, a matrix's dual is the matrix's ptableau."""
+    counts = tuple(zip(*tab.counts)) if tab.rows else ((),) * tab.content_bound
+    return PTableau._from_counts(counts, tab.rows)
 
 
-def biword_from_parsed(pw: ParsedWord) -> Biword:
-    """Write a string of i's over the i-th factor (empty factors contribute
-    no columns, so their label is skipped)."""
-    columns = []
-    for s, factor in enumerate(pw.factors, start=1):
-        for letter in factor:
-            columns.append((s, letter))
-    return Biword(pw.num_factors, pw.rank, columns)
-
-
-def parsed_from_biword(bw: Biword) -> ParsedWord:
-    factors: list[list[int]] = [[] for _ in range(bw.top_rank)]
-    for a, b in bw.columns:
-        factors[a - 1].append(b)
-    return ParsedWord._from_factors(bw.bottom_rank, factors)
+def matrix_from_ptableau(tab: PTableau) -> NNMatrix:
+    """entry (i, j) counts the i's in row j: the counts of :func:`dual`."""
+    return NNMatrix(dual(tab).counts)
 
 
 def matrix_from_biword(bw: Biword) -> NNMatrix:
@@ -255,22 +254,17 @@ def biword_from_matrix(mat: NNMatrix) -> Biword:
     return Biword(mat.rows, mat.cols, columns)
 
 
-def matrix_from_ptableau(tab: PTableau) -> NNMatrix:
-    """entry (i, j) counts the i's in row j: the transpose of ``tab.counts``;
-    agrees with the biword route."""
-    return NNMatrix(
-        [[count[s] for count in tab.counts] for s in range(tab.content_bound)]
-    )
+def biword_from_parsed(pw: ParsedWord) -> Biword:
+    """A string of i's over the i-th factor (empty factors contribute no
+    columns, so their label is skipped): the biword of the word's counts."""
+    return biword_from_matrix(matrix_from_ptableau(ptableau_from_word(pw)))
 
 
-def dual(tab: PTableau) -> PTableau:
-    """The dual ptableau: row i of the input, read right to left, names the
-    rows of the i-strip of the output.  Its count matrix is the transpose of
-    the input's, so it is an involution."""
-    counts = tuple(
-        tuple(count[s] for count in tab.counts) for s in range(tab.content_bound)
-    )
-    return PTableau._from_counts(counts, tab.rows)
+def parsed_from_biword(bw: Biword) -> ParsedWord:
+    """The factors are the bottoms under each top: the word of the
+    biword's counts, with ``bottom_rank`` rows even when there is no top."""
+    over = PTableau._from_counts(matrix_from_biword(bw).entries, bw.bottom_rank)
+    return word_from_ptableau(dual(over))
 
 
 # ---------------------------------------------------------------------------

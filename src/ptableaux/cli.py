@@ -13,10 +13,9 @@ from .bijections import (
     Biword,
     NNMatrix,
     biword_from_matrix,
-    biword_from_parsed,
     dual,
+    matrix_from_biword,
     matrix_from_ptableau,
-    parsed_from_biword,
     ptableau_from_word,
     rsk,
     word_from_ptableau,
@@ -136,35 +135,35 @@ def _emit_ptableau(tab: PTableau, fmt: str) -> str:
 def cmd_convert(args) -> int:
     text = _read_input(args.value)
     source = _sniff_type(text, args.source, args.parse)
-    # normalize the input to a parsed word, the pivot model
+    # read the input as one ptableau: its count matrix is the pivot model,
+    # and every target is written from it
     if source in ("word", "parsed"):
-        pw = _load_parsed(text, args.rank, args.parse)
+        tab = ptableau_from_word(_load_parsed(text, args.rank, args.parse))
     elif source == "ptab":
-        pw = word_from_ptableau(_load_ptableau(text))
-    elif source == "biword":
-        pw = parsed_from_biword(Biword.from_text(text))
-    elif source == "matrix":
-        pw = parsed_from_biword(biword_from_matrix(NNMatrix.from_text(text)))
+        tab = _load_ptableau(text)
+    elif source in ("biword", "matrix"):
+        if source == "biword":
+            mat = matrix_from_biword(Biword.from_text(text))
+        else:
+            mat = NNMatrix.from_text(text)
+        # a matrix holds the counts of the dual
+        tab = dual(PTableau._from_counts(mat.entries, mat.cols))
     else:
         raise PTableauError(f"unknown source model {source}")
 
     target = args.target
-    if target == "word":
-        out = pw.word.to_text()
-    elif target == "parsed":
-        out = pw.to_text()
-    elif target == "ptab":
-        out = _emit_ptableau(ptableau_from_word(pw), args.format)
-    elif target == "dual":
-        out = _emit_ptableau(dual(ptableau_from_word(pw)), args.format)
-    elif target == "biword":
-        bw = biword_from_parsed(pw)
-        out = json.dumps(bw.to_json_obj(), sort_keys=True) if args.format == "json" else bw.to_text()
-    elif target == "matrix":
-        m = matrix_from_ptableau(ptableau_from_word(pw))
-        out = json.dumps(m.to_json_obj(), sort_keys=True) if args.format == "json" else m.to_text()
+    if target in ("word", "parsed"):
+        pw = word_from_ptableau(tab)
+        out = pw.word.to_text() if target == "word" else pw.to_text()
+    elif target in ("ptab", "dual"):
+        out = _emit_ptableau(tab if target == "ptab" else dual(tab), args.format)
+    elif target in ("biword", "matrix"):
+        model = matrix_from_ptableau(tab)
+        if target == "biword":
+            model = biword_from_matrix(model)
+        out = json.dumps(model.to_json_obj(), sort_keys=True) if args.format == "json" else model.to_text()
     elif target == "rsk":
-        pair = rsk(biword_from_parsed(pw))
+        pair = rsk(biword_from_matrix(matrix_from_ptableau(tab)))
         if args.format == "json":
             out = json.dumps(
                 {"P": pair.insertion.to_json_obj(), "Q": pair.recording.to_json_obj()},

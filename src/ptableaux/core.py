@@ -15,12 +15,14 @@ Ptableaux are considered up to row equivalence (sliding content past
 blanks within a row).  Every class has a unique left-justified member, and
 it depends only on the content of each row, so a class is its count
 matrix: how many s's sit in each row.  :class:`PTableau` stores, compares
-and hashes that matrix.  One packer reads it when the tableau is first
-shown: reading the cells as the tableau's word (values in increasing
-order, each value's cells from the bottom row up), each cell's column is
-the length of the longest weakly decreasing subword ending at its letter,
-less one, so a row's copies of one value fill a block of columns placed
-directly.  The text and the grid are both views of those blocks.
+and hashes that matrix; besides it, a tableau keeps only the views read
+so far (its text and width, and its grid).  One packer reads the matrix
+when the tableau is first shown: reading the cells as the tableau's word
+(values in increasing order, each value's cells from the bottom row up),
+each cell's column is the length of the longest weakly decreasing
+subword ending at its letter, less one, so a row's copies of one value
+fill a block of columns placed directly.  The text is rendered from those
+blocks, which are then let go, and the grid is read back off the text.
 
 Validation reads grids in word order too.  Past the column check, a
 value's cells form a horizontal strip iff their columns strictly increase,
@@ -322,12 +324,11 @@ class PTableau:
     present (words parsed with empty factors produce such gaps).  Equality
     and the hash read only ``counts`` and ``content_bound``.  The first read
     of the text, the grid or its width ``cols`` packs the counts into each
-    row's runs of one value; every view is read off those runs and kept.
+    row's runs of one value once: the text is rendered from the runs, which
+    are not kept, and the grid is read back off the text.
     """
 
-    __slots__ = (
-        "rows", "content_bound", "counts", "_hash", "_runs", "cols", "grid", "_text"
-    )
+    __slots__ = ("rows", "content_bound", "counts", "_hash", "cols", "grid", "_text")
 
     def __init__(self, grid, content_bound: int | None = None):
         other = validate_ptableau(grid, content_bound)
@@ -357,25 +358,24 @@ class PTableau:
         return cls._from_counts(tuple(map(tuple, counts)), content_bound)
 
     def __getattr__(self, name):
-        # reached only while a slot is unset: the packing, and the grid and
-        # text read off its runs, are derived on first read and kept
-        if name == "_runs" or name == "cols":
-            self._runs, self.cols = _pack_rows(self.counts)
-        elif name == "grid":
-            grid = [[None] * self.cols for _ in self._runs]
-            for row, runs in zip(grid, self._runs):
-                for c, v, m in runs:
-                    row[c : c + m] = (v,) * m
-            self.grid = tuple(map(tuple, grid))
-        elif name == "_text":
+        # reached only while a slot is unset: the one packing renders the
+        # text and sets the width, and the grid is read back off the text
+        if name == "_text" or name == "cols":
+            runs, self.cols = _pack_rows(self.counts)
             lines = []
-            for runs in self._runs:
+            for row in runs:
                 line, end = "", 0
-                for c, v, m in runs:
+                for c, v, m in row:
                     line += ". " * (c - end) + f"{v} " * m
                     end = c + m
                 lines.append((line + ". " * (self.cols - end))[:-1])
             self._text = "\n".join(lines)
+        elif name == "grid":
+            lines = self._text.split("\n") if self.rows else ()
+            self.grid = tuple(
+                tuple([None if tok == "." else int(tok) for tok in line.split()])
+                for line in lines
+            )
         else:
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}"

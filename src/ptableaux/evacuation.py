@@ -54,13 +54,6 @@ def inward_slide_step(grid, pos):
     return tuple(map(tuple, grid)), new
 
 
-def _run_blank(grid, pos):
-    """Slide one blank inward until fixed; returns (grid, path)."""
-    grid = [list(row) for row in grid]
-    path = (pos, *_inward(grid, pos))
-    return tuple(map(tuple, grid)), path
-
-
 def processable_corners(grid):
     """Outer corners: active blanks with no active blank immediately left or
     above (top-to-bottom, left-to-right order).

@@ -1,7 +1,7 @@
 """Tensor products of ptableaux and the Littlewood-Richardson rule."""
 from __future__ import annotations
 
-from .bijections import matrix_from_ptableau, word_from_ptableau
+from .bijections import word_from_ptableau
 from .core import (
     ParsedWord,
     PTableau,
@@ -83,10 +83,11 @@ def word_condition_counting(tab: PTableau) -> bool:
     Strictly weaker than :func:`satisfies_word_condition`; kept so the two
     can be compared side by side.
     """
-    m = matrix_from_ptableau(tab).entries  # m[v - 1][r - 1]: v's in row r
+    counts = tab.counts  # counts[r - 1][v - 1]: v's in row r
     for i in range(1, tab.content_bound):
         for k in range(tab.rows):
-            if sum(m[i - 1][i - 1 : i + k]) < sum(m[i][i : i + k + 1]):
+            ones = sum(c[i - 1] for c in counts[i - 1 : i + k])  # i's in rows i..i+k
+            if ones < sum(c[i] for c in counts[i : i + k + 1]):
                 return False
     return True
 

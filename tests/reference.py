@@ -13,13 +13,32 @@ parsing read the packed grid, the corners rescan each blank's northwest
 quadrant, and the slide rebuilds the grid per step.
 ``pairwise_check_grid`` is the grid check the library ran before it read
 the conditions in word order: it compares every pair of a value's cells
-and every pair of cells of two values.
-Nothing here calls the library's packer, its operators, its count matrix
-or its validation; ``exhaust`` applies the operator it is given.
+and every pair of cells of two values.  ``word_pivot_convert`` is
+``ptab convert`` as it was before the count matrix became its pivot: it
+reads every model as a parsed word, with the direct parsed word/biword
+maps of that design, and writes every target from it.
+Apart from ``word_pivot_convert``, which reads and writes through the
+library's models, nothing here calls the library's packer, its operators,
+its count matrix or its validation; ``exhaust`` applies the operator it is
+given, and ``run_blank`` repeats the library's one inward step.
 """
+import json
 from itertools import combinations
 
+from ptableaux import (
+    Biword,
+    NNMatrix,
+    ParsedWord,
+    biword_from_matrix,
+    dual,
+    matrix_from_ptableau,
+    ptableau_from_word,
+    rsk,
+    word_from_ptableau,
+)
+from ptableaux.cli import _load_parsed, _load_ptableau, _sniff_type
 from ptableaux.core import _normalize_grid
+from ptableaux.evacuation import inward_slide_step
 from ptableaux.errors import ColumnStrictViolation, ShadowViolation, StripViolation
 
 
@@ -234,6 +253,17 @@ def slide_step(grid, pos):
     return tuple(tuple(row) for row in grid), new
 
 
+def run_blank(grid, pos):
+    """Slide one blank inward, one ``inward_slide_step`` at a time, until it
+    is fixed; returns (grid, path)."""
+    path = [pos]
+    while True:
+        grid, new = inward_slide_step(grid, path[-1])
+        if new == path[-1]:
+            return grid, tuple(path)
+        path.append(new)
+
+
 def exhaust(obj, op, rank):
     """Apply ``op`` until no index below ``rank`` applies, restarting at
     index 1 after every step; returns (result, index sequence)."""
@@ -290,3 +320,45 @@ def pairwise_check_grid(grid) -> None:
                     raise ShadowViolation(
                         f"{j} at ({rj + 1},{cj + 1}) shadowed by {i} at ({ri + 1},{ci + 1})"
                     )
+
+
+def biword_of_parsed(pw):
+    """A string of s's over the s-th factor, read factor by factor."""
+    columns = [(s, a) for s, factor in enumerate(pw.factors, 1) for a in factor]
+    return Biword(pw.num_factors, pw.rank, columns)
+
+
+def parsed_of_biword(bw):
+    """The bottoms under each top, one factor per top."""
+    factors = [[] for _ in range(bw.top_rank)]
+    for a, b in bw.columns:
+        factors[a - 1].append(b)
+    return ParsedWord._from_factors(bw.bottom_rank, factors)
+
+
+def word_pivot_convert(text, source, target, fmt="text", rank=None, cuts=None):
+    """What ``ptab convert`` printed (less the newline) when every model
+    pivoted through a parsed word; raises as it did."""
+    source = _sniff_type(text, source, cuts)
+    if source in ("word", "parsed"):
+        pw = _load_parsed(text, rank, cuts)
+    elif source == "ptab":
+        pw = word_from_ptableau(_load_ptableau(text))
+    elif source == "biword":
+        pw = parsed_of_biword(Biword.from_text(text))
+    else:
+        pw = parsed_of_biword(biword_from_matrix(NNMatrix.from_text(text)))
+    if target in ("word", "parsed"):
+        return pw.word.to_text() if target == "word" else pw.to_text()
+    tab = ptableau_from_word(pw)
+    if target in ("ptab", "dual"):
+        tab = tab if target == "ptab" else dual(tab)
+        return tab.to_json() if fmt == "json" else tab.to_text()
+    if target == "rsk":
+        pair = rsk(biword_of_parsed(pw))
+        if fmt == "json":
+            obj = {"P": pair.insertion.to_json_obj(), "Q": pair.recording.to_json_obj()}
+            return json.dumps(obj, sort_keys=True)
+        return pair.insertion.to_text() + "\n\n" + pair.recording.to_text()
+    model = biword_of_parsed(pw) if target == "biword" else matrix_from_ptableau(tab)
+    return json.dumps(model.to_json_obj(), sort_keys=True) if fmt == "json" else model.to_text()

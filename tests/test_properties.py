@@ -6,7 +6,9 @@ value, so arbitrary contents generate arbitrary ptableaux.  Validation is
 checked on arbitrary rectangular grids, valid or not, against the pairwise
 check in ``reference.py``.
 """
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations, permutations
 
 from hypothesis import given, settings, strategies as st
@@ -31,6 +33,7 @@ from ptableaux import (
     matrix_from_biword,
     matrix_from_ptableau,
     minimal_parsing,
+    parsed_from_biword,
     processable_corners,
     ptab_epsilon,
     ptab_lowering,
@@ -49,12 +52,15 @@ from ptableaux import (
     to_highest_weight,
     to_lowest_weight,
     validate_ptableau,
+    word_condition_counting,
 )
 from ptableaux import core
+from ptableaux.cli import _load_ptableau, main
 from ptableaux.core import PTableau
 from ptableaux.errors import ColumnStrictViolation, PTableauError
-from ptableaux.evacuation import _run_blank, inward_slide_step
+from ptableaux.evacuation import inward_slide_step
 from reference import (
+    biword_of_parsed,
     exhaust,
     grid_anti_partition_shaped,
     grid_epsilon,
@@ -66,10 +72,13 @@ from reference import (
     grid_tensor,
     grid_text,
     pairwise_check_grid,
+    parsed_of_biword,
     quadrant_corners,
     right_justified,
+    run_blank,
     search_pack_rows,
     slide_step,
+    word_pivot_convert,
 )
 
 
@@ -374,6 +383,19 @@ class TestCountMatrix:
             assert column == tuple(count[s] for count in tab.counts)
             assert column == tuple(row.count(s + 1) for row in tab.grid)
 
+    @settings(max_examples=300, deadline=None)
+    @given(ptableaux(min_rows=0))
+    def test_counting_word_condition_reads_the_grid(self, tab):
+        # the i's in rows i..i+k against the (i+1)'s in rows i+1..i+k+1
+        grid = tab.grid
+        expected = all(
+            sum(row.count(i) for row in grid[i - 1 : i + k])
+            >= sum(row.count(i + 1) for row in grid[i : i + k + 1])
+            for i in range(1, tab.content_bound)
+            for k in range(tab.rows)
+        )
+        assert word_condition_counting(tab) == expected
+
 
 class TestDual:
     @settings(max_examples=300, deadline=None)
@@ -438,7 +460,7 @@ class TestEvacuationAndPush:
                     if new == path[-1]:
                         break
                     path.append(new)
-                assert _run_blank(grid, pos) == (expected, tuple(path))
+                assert run_blank(grid, pos) == (expected, tuple(path))
 
     @settings(max_examples=200, deadline=None)
     @given(parsed_words())
@@ -512,3 +534,98 @@ class TestRSK:
             q = _with_rows(to_highest_weight(t)[0], bw.top_rank)
             p = _with_rows(to_highest_weight(dual(t))[0], bw.bottom_rank)
             assert (pair.insertion, pair.recording) == (p, q)
+
+
+class TestCountPivot:
+    """``ptab convert`` reads every model into one ptableau and writes every
+    target from its count matrix; the word pivot it replaced is the oracle."""
+
+    targets = ("word", "parsed", "ptab", "dual", "biword", "matrix", "rsk")
+
+    # Inputs that read as a ptableau with content bound 0, to which the word
+    # pivot added one empty factor, and the outputs that changed, by
+    # (target, format); every other output of theirs is unchanged.
+    no_factor = {
+        ("dual", "json"): '{"cols": 0, "grid": [], "rows": 0}',
+        ("biword", "json"): '{"bottomRank": 0, "columns": [], "topRank": 0}',
+        ("matrix", "json"): '{"cols": 0, "entries": [], "rows": 0}',
+        ("rsk", "json"): (
+            '{"P": {"cols": 0, "grid": [], "rows": 0},'
+            ' "Q": {"cols": 0, "grid": [], "rows": 0}}'
+        ),
+    }
+    # with two rows, which the added factor's matrix row and biword kept
+    two_empty_rows = {**no_factor, ("matrix", "text"): "", ("rsk", "text"): "\n\n"}
+    bound_zero = [
+        ("matrix", "", no_factor),
+        ("ptab", "", no_factor),
+        ("ptab", ". .\n. .", two_empty_rows),
+        ("ptab", '{"grid": [[], []]}', two_empty_rows),
+        ("biword", "", no_factor),
+    ]
+
+    @staticmethod
+    def _run(*argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["convert", *argv])
+        return code, out.getvalue(), err.getvalue()
+
+    @staticmethod
+    def _oracle(text, source, target, fmt, rank):
+        try:
+            return 0, word_pivot_convert(text, source, target, fmt, rank) + "\n", ""
+        except PTableauError as exc:
+            return 1, "", f"error: {exc}\n"
+
+    def _check(self, source, text, rank=None):
+        # inputs of content bound 0 are test_bound_zero_inputs_lose_the_added_factor's
+        if source == "ptab" and _load_ptableau(text).content_bound == 0:
+            return
+        if source in ("biword", "matrix") and not text.strip():
+            return
+        extra = () if rank is None else ("--rank", str(rank))
+        for target in self.targets:
+            for fmt in ("text", "json"):
+                got = self._run("--from", source, "--to", target, "--format", fmt, *extra, text)
+                assert got == self._oracle(text, source, target, fmt, rank)
+
+    @settings(max_examples=25, deadline=None)
+    @given(parsed_words())
+    def test_words_and_parsed_words(self, pw):
+        self._check("word", pw.word.to_text(), pw.rank)
+        self._check("parsed", pw.to_text(), pw.rank)
+        self._check("parsed", pw.to_text())
+
+    @settings(max_examples=25, deadline=None)
+    @given(contents())
+    def test_ptableaux_and_matrices(self, content):
+        tab = PTableau._from_rows(*content)
+        self._check("ptab", tab.to_text())
+        self._check("ptab", tab.to_json())
+        self._check("matrix", matrix_from_ptableau(tab).to_text())
+
+    @settings(max_examples=25, deadline=None)
+    @given(nn_biwords())
+    def test_biwords_and_their_matrices(self, bw):
+        self._check("biword", bw.to_text())
+        self._check("matrix", matrix_from_biword(bw).to_text())
+
+    def test_bound_zero_inputs_lose_the_added_factor(self):
+        for source, text, changes in self.bound_zero:
+            for target in self.targets:
+                for fmt in ("text", "json"):
+                    got = self._run("--from", source, "--to", target, "--format", fmt, text)
+                    old = self._oracle(text, source, target, fmt, None)
+                    new = changes.get((target, fmt))
+                    if new is None:
+                        assert got == old
+                    else:
+                        assert got == (0, new + "\n", "") != old
+
+    @settings(max_examples=200, deadline=None)
+    @given(parsed_words(), nn_biwords())
+    def test_biword_maps_are_compositions_through_counts(self, pw, bw):
+        assert biword_from_parsed(pw) == biword_of_parsed(pw)
+        assert parsed_from_biword(biword_of_parsed(pw)) == pw
+        assert parsed_from_biword(bw) == parsed_of_biword(bw)
