@@ -5,11 +5,27 @@ breadth-first search by raising operators records each edge as it is found
 and meets the highest weight on the way, so a graph is never re-scanned for
 its edges or its highest weight.  ``decompose`` runs that closure once per
 component of its node set and refuses a node outside the set on sight.
+
+Components with the same highest weight are isomorphic, whatever the model
+(word, parsed word or ptableau) and the seed, so the closure transports
+them.  The key of a component is its rank and the weight of its lowest
+weight.  The first search of a key only marks it, so a one-off component
+costs no more than the search; the second also records the key's skeleton
+as flat ``array`` index data: the spanning tree as (parent index, i)
+pairs in discovery order, each node's f_i targets by index (-1 where f_i is
+undefined), and the index of the highest weight.  From then on a component
+with that key is replayed: one raising call per tree entry rebuilds its
+nodes in the search's own order, and its edges are read off the targets.
+Nodes, edges, DOT and JSON are byte-identical to a search's, and so are its
+errors and their order.  The process keeps at most ``_CACHE_NODES`` nodes of
+skeletons, a mark counting one, and drops the least recently used first; a
+component larger than that keeps only its mark.
 """
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import OrderedDict
+from threading import Lock
 
 from .core import PTableau, Word, _trimmed, weight
 from .errors import NotClosed, NotConnected, RankMismatch, SizeLimitExceeded
@@ -21,6 +37,9 @@ from .operators import (
 )
 
 DEFAULT_MAX_NODES = 10**6
+# The most skeleton nodes the process keeps (see the module docstring): at
+# rank 7, 16 to 32 bytes a node, so 4 MB at most.
+_CACHE_NODES = 1 << 17
 
 
 def _serialize(node) -> str:
@@ -78,26 +97,78 @@ class CrystalGraph:
         )
 
 
-def _raise_closure(seed, max_nodes: int, within=None):
-    """Breadth-first search by raising operators from the lowest weight,
-    which reaches every node because every node lowers to it.
+class _Skeletons(OrderedDict):
+    """Skeletons by key, least recently used first; a key met once holds
+    ``()``.  ``nodes`` counts what is stored: a skeleton its nodes, a mark
+    one.  Storing drops the oldest entries until ``nodes`` is at most
+    ``_CACHE_NODES``, and an entry larger than that is not kept at all.
+    Every thread shares the cache, so ``find`` and ``store`` hold a lock."""
 
-    A hit e_i(v) = u is the edge u -f_i-> v.  Returns the edges as
-    ``{u: [(i, f_i(u)), ...]}`` over every node, and the highest weight:
-    the one node on which no e_i applies.  With ``within``, a node outside
-    it (the lowest weight or any node the search reaches) raises
-    :class:`NotClosed` before it is counted, so the search never runs
-    past that set.
+    def __init__(self):
+        super().__init__()
+        self.nodes = 0
+        self.lock = Lock()
+
+    @staticmethod
+    def size(entry) -> int:
+        return len(entry[0]) // 2 + 1 if entry else 1
+
+    def find(self, key):
+        with self.lock:
+            entry = self.get(key)
+            if entry is not None:
+                self.move_to_end(key)
+            return entry
+
+    def store(self, key, entry) -> None:
+        with self.lock:
+            if key in self:
+                self.nodes -= self.size(self.pop(key))
+            if self.size(entry) > _CACHE_NODES:
+                return
+            self[key] = entry
+            self.nodes += self.size(entry)
+            while self.nodes > _CACHE_NODES:
+                self.nodes -= self.size(self.popitem(last=False)[1])
+
+
+_skeletons = _Skeletons()
+
+
+def _admit(u, met: int, max_nodes: int, within) -> None:
+    """Refuse ``u``, found after ``met`` other nodes: first if it lies
+    outside ``within``, then if it would be one node too many."""
+    if within is not None and u not in within:
+        raise NotClosed(f"operator image {_serialize(u)} leaves the node set")
+    if met >= max_nodes:
+        raise SizeLimitExceeded(f"component exceeds {max_nodes} nodes")
+
+
+def _raise_closure(seed, max_nodes: int, within=None):
+    """The edges of ``seed``'s component as ``{u: [(i, f_i(u)), ...]}`` over
+    every node, and its highest weight.
+
+    The seed is lowered to its lowest weight, which every node lowers to.
+    A key seen twice before is replayed from its skeleton (see the module
+    docstring); otherwise a breadth-first search by raising operators finds
+    the nodes, a hit e_i(v) = u being the edge u -f_i-> v, and the highest
+    weight is the one node on which no e_i applies.  Either way the nodes
+    are met in the search's order, and with ``within`` a node outside it
+    raises :class:`NotClosed` before it is counted against ``max_nodes``,
+    so nothing is built past that set.
     """
     low, _ = to_lowest_weight(seed)
-    if within is not None and low not in within:
-        raise NotClosed(f"operator image {_serialize(low)} leaves the node set")
+    _admit(low, 0, max_nodes, within)
     rank = _rank(low)
+    key = (rank, weight(low))
+    entry = _skeletons.find(key)
+    if entry:
+        return _replay(low, rank, entry, max_nodes, within)
+    tree = [] if entry is not None else None  # (parent, i) pairs when recording
+    nodes = [low]  # in discovery order, the order the search visits them
     down = {low: []}
     tops = []
-    queue = deque([low])
-    while queue:
-        v = queue.popleft()
+    for k, v in enumerate(nodes):
         top = True
         for i in range(1, rank):
             u = raising_operator(v, i)
@@ -106,14 +177,11 @@ def _raise_closure(seed, max_nodes: int, within=None):
             top = False
             out = down.get(u)
             if out is None:
-                if within is not None and u not in within:
-                    raise NotClosed(
-                        f"operator image {_serialize(u)} leaves the node set"
-                    )
-                if len(down) >= max_nodes:
-                    raise SizeLimitExceeded(f"component exceeds {max_nodes} nodes")
+                _admit(u, len(nodes), max_nodes, within)
                 out = down[u] = []
-                queue.append(u)
+                nodes.append(u)
+                if tree is not None:
+                    tree.extend((k, i))
             out.append((i, v))
         if top:
             tops.append(v)
@@ -121,7 +189,34 @@ def _raise_closure(seed, max_nodes: int, within=None):
         raise NotConnected(
             f"expected a unique highest weight node, found {len(tops)}"
         )
+    if tree is None:
+        _skeletons.store(key, ())
+    elif len(nodes) <= _CACHE_NODES:  # a larger one keeps its mark only
+        from array import array  # a process that never records never loads it
+
+        code = "h" if len(nodes) <= 1 << 15 else "i"  # 2 bytes an index if they fit
+        index = {u: j for j, u in enumerate(nodes)}
+        targets = array(code, [-1]) * (len(nodes) * (rank - 1))
+        for u, out in down.items():
+            base = index[u] * (rank - 1) - 1
+            for i, v in out:
+                targets[base + i] = index[v]
+        _skeletons.store(key, (array(code, tree), targets, index[tops[0]]))
     return down, tops[0]
+
+
+def _replay(low, rank: int, skeleton, max_nodes: int, within):
+    """:func:`_raise_closure` of the lowest weight ``low`` by its key's
+    skeleton: one raising call per node after ``low``."""
+    tree, targets, top = skeleton
+    nodes = [low]
+    for k in range(0, len(tree), 2):
+        u = raising_operator(nodes[tree[k]], tree[k + 1])
+        _admit(u, len(nodes), max_nodes, within)
+        nodes.append(u)
+    ops, row = range(1, rank), iter(targets)  # zip takes rank - 1 a node
+    down = {u: [(i, nodes[t]) for i, t in zip(ops, row) if t >= 0] for u in nodes}
+    return down, nodes[top]
 
 
 def _build(down, top) -> CrystalGraph:
@@ -138,7 +233,10 @@ def component(seed, max_nodes: int = DEFAULT_MAX_NODES) -> CrystalGraph:
 
     The seed is lowered to its lowest weight, and one breadth-first search
     by raising operators from there finds every node and every edge once
-    each; the node on which no e_i applies is the highest weight.
+    each; the node on which no e_i applies is the highest weight.  A
+    component isomorphic to two met before is replayed from their skeleton
+    instead (see the module docstring).  More than ``max_nodes`` nodes raise
+    :class:`SizeLimitExceeded`.
     """
     return _build(*_raise_closure(seed, max_nodes))
 

@@ -1,7 +1,17 @@
 """Shared enumeration helpers and independent counting oracles."""
+from contextlib import contextmanager
 from itertools import product
+from unittest.mock import patch
 
-from ptableaux import PTableau, Word, validate_ptableau
+from ptableaux import (
+    PTableau,
+    Word,
+    component,
+    to_lowest_weight,
+    validate_ptableau,
+    weight,
+)
+from ptableaux import graph
 
 
 def all_words(rank, length):
@@ -107,3 +117,29 @@ def ssyt_as_ptableau(filling, rows, bound=None):
 
 def tab(text, bound=None) -> PTableau:
     return PTableau.from_text(text, bound)
+
+
+@contextmanager
+def skeleton_cache(nodes=None):
+    """Run the block on a fresh, empty skeleton cache bounded by ``nodes``
+    (the library's bound when None; 0 keeps nothing, so every component is
+    searched cold).  Yields the cache."""
+    bound = graph._CACHE_NODES if nodes is None else nodes
+    with patch.object(graph, "_skeletons", graph._Skeletons()):
+        with patch.object(graph, "_CACHE_NODES", bound):
+            yield graph._skeletons
+
+
+def skeleton_key(seed):
+    """The cache key of ``seed``'s component: its rank and the weight of its
+    lowest weight."""
+    low = to_lowest_weight(seed)[0]
+    return (low.rows if isinstance(low, PTableau) else low.rank), weight(low)
+
+
+def record_skeleton(seed):
+    """Build ``seed``'s component twice, which records its skeleton, and
+    return the key it is stored under."""
+    component(seed)
+    component(seed)
+    return skeleton_key(seed)

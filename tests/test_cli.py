@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+from conftest import record_skeleton, skeleton_cache
+from ptableaux import Word
 from ptableaux.cli import main
 
 INTRO_T = ". 1 . 3 4\n1 2 2 . .\n3 3 4 4 ."
@@ -219,6 +221,21 @@ class TestGraphCommands:
             "--max-nodes", "5",
         )
         assert code == 1 and "error" in err
+
+    def test_crystal_max_nodes_replayed(self, capsys):
+        argv = ("crystal", "--seed", "1112", "--rank", "3", "--max-nodes", "5")
+        with skeleton_cache(0):
+            cold = run(capsys, *argv)
+        with skeleton_cache() as cache:
+            assert cache[record_skeleton(Word.from_text("1112", 3))]
+            warm = run(capsys, *argv)
+        assert cold == warm == (1, "", "error: component exceeds 5 nodes\n")
+
+    def test_crystal_max_nodes_counts_a_one_node_component(self, capsys):
+        argv = ("crystal", "--seed", "12", "--rank", "2", "--max-nodes")
+        assert run(capsys, *argv, "0") == (1, "", "error: component exceeds 0 nodes\n")
+        code, out, _ = run(capsys, *argv, "1")
+        assert code == 0 and "nodes: 1" in out
 
     def test_decompose(self, capsys):
         code, out, _ = run(capsys, "decompose", "--rank", "3", "--length", "3")

@@ -1,13 +1,23 @@
 """Crystal components, decomposition, isomorphism, exports."""
 import gc
 import json
+import sys
+import threading
 import tracemalloc
 from collections import deque
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import partitions, ssyt_count, syt_count
+from conftest import (
+    partitions,
+    record_skeleton,
+    skeleton_cache,
+    skeleton_key,
+    ssyt_count,
+    syt_count,
+)
 from ptableaux import (
     ParsedWord,
     Word,
@@ -27,7 +37,23 @@ from ptableaux import (
     weight,
     words_closure,
 )
+from ptableaux import graph
 from ptableaux.errors import NotClosed, NotConnected, SizeLimitExceeded
+
+
+@contextmanager
+def closures(path, *seeds):
+    """Run the block's closures "cold", on a cache that keeps nothing, so
+    each one searches, or "warm", with each seed's skeleton recorded first,
+    so each component isomorphic to a seed's is replayed."""
+    with skeleton_cache(0 if path == "cold" else None) as cache:
+        for seed in seeds if path == "warm" else ():
+            assert cache[record_skeleton(seed)]
+        yield
+
+
+def views(g):
+    return export_dot(g), export_json(g), g.nodes, g.edges, g.highest_weight_node
 
 
 class TestComponent:
@@ -58,8 +84,35 @@ class TestComponent:
         assert mapped == gt.node_set()
 
     def test_size_limit(self):
-        with pytest.raises(SizeLimitExceeded):
-            component(ptableau_from_word(Word.from_text("1112", rank=3)), max_nodes=5)
+        self._size_limit("cold")
+
+    def test_size_limit_replayed(self):
+        self._size_limit("warm")
+
+    @staticmethod
+    def _size_limit(path):
+        seed = ptableau_from_word(Word.from_text("1112", rank=3))
+        with closures(path, seed):
+            with pytest.raises(SizeLimitExceeded, match="^component exceeds 5 nodes$"):
+                component(seed, max_nodes=5)
+
+    @pytest.mark.parametrize("path", ["cold", "warm"])
+    def test_max_nodes_counts_every_node(self, path):
+        # a component of N nodes is refused iff N > max_nodes, one node too
+        for word in (Word.from_text("12", 2), Word(3, ()), Word.from_text("1112", 3)):
+            for seed in (word, ptableau_from_word(word)):
+                g = component(seed)
+                for cap in range(-1, len(g) + 2):
+                    with closures(path, seed):
+                        if len(g) <= cap:
+                            assert views(component(seed, max_nodes=cap)) == views(g)
+                            assert views(decompose(g.nodes, max_nodes=cap)[0]) == views(g)
+                            continue
+                        message = f"^component exceeds {cap} nodes$"
+                        with pytest.raises(SizeLimitExceeded, match=message):
+                            component(seed, max_nodes=cap)
+                        with pytest.raises(SizeLimitExceeded, match=message):
+                            decompose(g.nodes, max_nodes=cap)
 
     def test_component_sizes_match_ssyt_counts(self):
         for rank in (2, 3, 4):
@@ -247,31 +300,52 @@ class TestDecompose:
 
     @pytest.mark.parametrize("model", ["word", "ptableau"])
     def test_each_one_node_deletion_is_not_closed(self, model):
+        self._each_one_node_deletion_is_not_closed(model, "cold")
+
+    @pytest.mark.parametrize("model", ["word", "ptableau"])
+    def test_each_one_node_deletion_is_not_closed_replayed(self, model):
+        self._each_one_node_deletion_is_not_closed(model, "warm")
+
+    @staticmethod
+    def _each_one_node_deletion_is_not_closed(model, path):
         nodes = words_closure(3, 3)
         if model == "ptableau":
             nodes = [ptableau_from_word(w) for w in nodes]
-        singles = {g.highest_weight_node for g in decompose(nodes) if len(g) == 1}
+        comps = decompose(nodes)
+        singles = {g.highest_weight_node for g in comps if len(g) == 1}
         assert len(singles) == 1  # the component of 321
-        for k, gone in enumerate(nodes):
-            rest = nodes[:k] + nodes[k + 1:]
-            if gone in singles:
-                assert len(decompose(rest)) == 3
-                continue
-            with pytest.raises(NotClosed) as err:
-                decompose(rest)
-            # the deleted node is the only one outside the set
-            assert str(err.value) == f"operator image {_key(gone)} leaves the node set"
+        with closures(path, *(g.highest_weight_node for g in comps)):
+            for k, gone in enumerate(nodes):
+                rest = nodes[:k] + nodes[k + 1:]
+                if gone in singles:
+                    assert len(decompose(rest)) == 3
+                    continue
+                with pytest.raises(NotClosed) as err:
+                    decompose(rest)
+                # the deleted node is the only one outside the set
+                assert str(err.value) == f"operator image {_key(gone)} leaves the node set"
 
     @pytest.mark.parametrize("model", ["word", "ptableau"])
     def test_one_node_of_large_component_is_not_closed_before_size_cap(self, model):
+        self._one_node_of_large_component_is_not_closed_before_size_cap(model, "cold")
+
+    @pytest.mark.parametrize("model", ["word", "ptableau"])
+    def test_one_node_of_large_component_is_not_closed_before_size_cap_replayed(
+        self, model
+    ):
+        self._one_node_of_large_component_is_not_closed_before_size_cap(model, "warm")
+
+    @staticmethod
+    def _one_node_of_large_component_is_not_closed_before_size_cap(model, path):
         seed = Word.from_text("11223", rank=4)
         if model == "ptableau":
             seed = ptableau_from_word(seed)
         g = component(seed)
         assert len(g) > 2
-        for node in g.nodes:
-            with pytest.raises(NotClosed):
-                decompose([node], max_nodes=2)
+        with closures(path, seed):
+            for node in g.nodes:
+                with pytest.raises(NotClosed, match="^operator image .* leaves the node set$"):
+                    decompose([node], max_nodes=2)
 
     def test_words_closure_cap_applies_before_enumeration(self):
         # 2**(10**18) words: refused at once, without computing the power
@@ -304,6 +378,93 @@ class TestDecompose:
             assert {frozenset(v) for v in by_q.values()} == {
                 frozenset(g.node_set()) for g in comps
             }
+
+
+class TestTransport:
+    @pytest.mark.parametrize("n,k", [(2, 12), (3, 7), (4, 5), (5, 4)])
+    def test_decompose_replayed_equals_searched(self, n, k):
+        words = words_closure(n, k)
+        with skeleton_cache(0):
+            cold = [views(g) for g in decompose(words)]
+        with skeleton_cache() as cache:
+            # the first pass marks each shape and records those met twice;
+            # the second records the rest, so the third replays them all
+            decompose(words)
+            decompose(words)
+            assert len(cache) == len({g.weight_label for g in decompose(words)})
+            assert all(cache.values())
+            assert [views(g) for g in decompose(words)] == cold
+
+    def test_skeletons_are_recorded_on_the_second_touch(self):
+        seed = Word.from_text("1112", 3)
+        key = skeleton_key(seed)
+        with skeleton_cache() as cache:
+            g = component(seed)  # 15 nodes: one (parent, i) pair and 2 targets each
+            assert cache[key] == () and cache.nodes == 1
+            assert views(component(seed)) == views(g)
+            tree, targets, top = cache[key]
+            assert (len(tree), len(targets), cache.nodes) == (2 * 14, 2 * 15, 15)
+            assert sum(t >= 0 for t in targets) == len(g.edges)
+            assert views(component(seed)) == views(g)
+
+    def test_cache_keeps_at_most_its_bound(self, monkeypatch):
+        monkeypatch.setattr(graph, "_CACHE_NODES", 40)
+        cache = graph._Skeletons()
+        monkeypatch.setattr(graph, "_skeletons", cache)
+        # 3, 6, 3, 10, 8, 3 again, 15 and 1 nodes: 30 are kept before the
+        # 15, which pushes out the least recently used, "11" but not "1"
+        texts = ("1", "11", "12", "111", "121", "1", "1112", "123")
+        sizes = {}
+        for text in texts:
+            seed = Word.from_text(text, 3)
+            for _ in range(3):
+                sizes[skeleton_key(seed)] = len(component(seed))
+                assert cache.nodes == sum(map(cache.size, cache.values())) <= 40
+        assert cache.nodes == 40 and all(cache.values())
+        assert skeleton_key(Word.from_text("11", 3)) not in cache
+        assert skeleton_key(Word.from_text("1", 3)) in cache
+        assert all(cache.size(entry) == sizes[key] for key, entry in cache.items())
+        assert sorted(sizes.values()) == [1, 3, 3, 6, 8, 10, 15]
+        big = Word.from_text("1112", 4)
+        for _ in range(3):
+            assert len(component(big)) > 40
+            assert not cache.get(skeleton_key(big))
+            assert cache.nodes <= 40
+
+
+    def test_threads_share_the_cache(self, monkeypatch):
+        # with components of 1 to 3 nodes and a bound of 4, each call finds,
+        # stores or drops an entry: unlocked, threads lose counts and pop a
+        # key another thread dropped (KeyError) within a few hundred calls
+        monkeypatch.setattr(graph, "_CACHE_NODES", 4)
+        cache = graph._Skeletons()
+        monkeypatch.setattr(graph, "_skeletons", cache)
+        seeds = [Word.from_text(t, 2) for t in ("", "1", "12", "11", "2")]
+        seeds += [Word.from_text(t, 3) for t in ("123", "1")]
+        expected = [views(component(seed)) for seed in seeds]
+        failures = []
+
+        def work(offset):
+            try:
+                for k in range(1000):
+                    j = (k + offset) % len(seeds)
+                    assert views(component(seeds[j])) == expected[j]
+            except Exception as exc:  # reported by the main thread
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+        assert cache.nodes == sum(map(cache.size, cache.values())) <= 4
 
 
 class TestIsomorphic:

@@ -20,9 +20,12 @@ from ptableaux import (
     Word,
     biword_from_matrix,
     biword_from_parsed,
+    component,
     dual,
     evacuate,
     evacuation_as_operators,
+    export_dot,
+    export_json,
     highest_weight_ptableau,
     is_anti_partition_shaped,
     is_bss_pair,
@@ -52,13 +55,16 @@ from ptableaux import (
     to_highest_weight,
     to_lowest_weight,
     validate_ptableau,
+    weight,
     word_condition_counting,
+    word_from_ptableau,
 )
 from ptableaux import core
 from ptableaux.cli import _load_ptableau, main
 from ptableaux.core import PTableau
 from ptableaux.errors import ColumnStrictViolation, PTableauError
 from ptableaux.evacuation import inward_slide_step
+from conftest import record_skeleton, skeleton_cache, skeleton_key
 from reference import (
     biword_of_parsed,
     exhaust,
@@ -83,11 +89,11 @@ from reference import (
 
 
 @st.composite
-def contents(draw, min_rows=0, max_rows=7, max_value=9):
+def contents(draw, min_rows=0, max_rows=7, max_value=9, max_row=5):
     """Per-row contents (values with gaps, rows unsorted) and a bound."""
     n = draw(st.integers(min_rows, max_rows))
     values = st.integers(1, max_value)
-    rows = draw(st.lists(st.lists(values, max_size=5), min_size=n, max_size=n))
+    rows = draw(st.lists(st.lists(values, max_size=max_row), min_size=n, max_size=n))
     top = max((v for row in rows for v in row), default=0)
     return rows, top + draw(st.integers(0, 2))
 
@@ -99,12 +105,12 @@ def ptableaux(min_rows=2, **kwargs):
 
 
 @st.composite
-def parsed_words(draw):
+def parsed_words(draw, max_rank=6, max_letters=12):
     """A word of rank up to 6 and up to 12 letters, with its minimal parsing
     plus extra cuts, empty factors included; its ptableau has gaps in its
     content where factors are empty."""
-    rank = draw(st.integers(1, 6))
-    letters = draw(st.lists(st.integers(1, rank), max_size=12))
+    rank = draw(st.integers(1, max_rank))
+    letters = draw(st.lists(st.integers(1, rank), max_size=max_letters))
     word = Word(rank, letters)
     extra = draw(st.lists(st.integers(0, len(letters)), max_size=3))
     return ParsedWord(word, sorted(minimal_parsing(word).cuts + tuple(extra)))
@@ -491,6 +497,39 @@ class TestEvacuationAndPush:
         for down in (True, False):
             for state in push_states(product, split, down=down):
                 assert is_bss_pair(state)
+
+
+def _shape(seed):
+    return tuple(p for p in weight(to_highest_weight(seed)[0]) if p)
+
+
+class TestTransport:
+    """A component replayed from the skeleton of an isomorphic one, recorded
+    on a seed of the other model, is the component searched cold."""
+
+    @staticmethod
+    def _check(seed, other):
+        def views(g):
+            return export_dot(g), export_json(g), g.nodes, g.edges
+
+        with skeleton_cache(0):
+            cold = views(component(seed))
+        with skeleton_cache() as cache:
+            key = record_skeleton(other)
+            assert cache[key] and skeleton_key(seed) == key
+            assert views(component(seed)) == cold
+
+    @settings(max_examples=60, deadline=None)
+    @given(contents(min_rows=1, max_rows=4, max_value=4, max_row=3))
+    def test_ptableau_replays_a_parsed_word_skeleton(self, content):
+        tab = PTableau._from_rows(*content)
+        hw = highest_weight_ptableau(_shape(tab), rows=tab.rows)
+        self._check(tab, word_from_ptableau(hw))
+
+    @settings(max_examples=60, deadline=None)
+    @given(parsed_words(max_rank=4, max_letters=8))
+    def test_parsed_word_replays_a_ptableau_skeleton(self, pw):
+        self._check(pw, highest_weight_ptableau(_shape(pw), rows=pw.rank))
 
 
 def _with_rows(tab, n):
