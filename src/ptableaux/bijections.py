@@ -7,6 +7,7 @@ from .core import (
     ParsedWord,
     PTableau,
     Word,
+    _check_cells,
     is_partition_shaped,
     minimal_parsing,
     shape,
@@ -205,6 +206,7 @@ def ptableau_from_word(pw, rows: int | None = None) -> PTableau:
     n = pw.rank if rows is None else rows
     if rows is not None and rows < max(pw.word.letters, default=0):
         raise PTableauError(f"rows must be at least 0 and every letter, not {rows}")
+    _check_cells(n, pw.num_factors)
     counts = [[0] * pw.num_factors for _ in range(n)]
     for s, factor in enumerate(pw.factors):
         for letter in factor:
@@ -240,6 +242,7 @@ def matrix_from_ptableau(tab: PTableau) -> NNMatrix:
 
 def matrix_from_biword(bw: Biword) -> NNMatrix:
     """entry (i, j) counts how many times i appears over j."""
+    _check_cells(bw.top_rank, bw.bottom_rank)
     m = [[0] * bw.bottom_rank for _ in range(bw.top_rank)]
     for a, b in bw.columns:
         m[a - 1][b - 1] += 1

@@ -43,8 +43,13 @@ from .errors import (
     InvalidParsing,
     PTableauError,
     ShadowViolation,
+    SizeLimitExceeded,
     StripViolation,
 )
+
+# the most cells a count matrix built from its dimensions may have (the
+# CLI's --max-nodes default): a huge letter, rank or value is refused
+_MAX_CELLS = 10**6
 
 
 def _letters_from_text(text: str):
@@ -55,7 +60,19 @@ def _letters_from_text(text: str):
             return [int(t) for t in text.split(",") if t.strip()]
         return [int(ch) for ch in text]
     except ValueError as exc:
-        raise PTableauError(str(exc)) from exc
+        raise PTableauError(
+            f"{text!r} read as a word: letters are digits, or integers"
+            " separated by commas"
+        ) from exc
+
+
+def _check_cells(rows: int, cols: int) -> None:
+    """Refuse a ``rows`` x ``cols`` count matrix of more than ``_MAX_CELLS``
+    cells before it is built; a row without columns counts as one cell."""
+    if rows * max(cols, 1) > _MAX_CELLS:
+        raise SizeLimitExceeded(
+            f"a {rows} x {cols} count matrix exceeds {_MAX_CELLS} cells"
+        )
 
 
 class Word:
@@ -351,6 +368,7 @@ class PTableau:
         """The canonical ptableau with the given (trusted) per-row contents,
         blanks (None) skipped; with :meth:`_from_counts`, the only
         constructors that skip validation."""
+        _check_cells(len(rows_values), content_bound)
         counts = [[0] * content_bound for _ in rows_values]
         for count, row in zip(counts, rows_values):
             for v in filter(None, row):
@@ -470,6 +488,7 @@ def validate_ptableau(grid, content_bound: int | None = None) -> PTableau:
             )
     top = cells[-1][0] if cells else 0
     bound = top if content_bound is None else content_bound
+    _check_cells(len(grid), max(bound, top))
     counts = [[0] * max(bound, top) for _ in grid]
     reach = [(0, None)] * len(grid)  # as in _pack_rows, with the cell that set it
     for v, r, c in cells:

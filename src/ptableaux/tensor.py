@@ -6,11 +6,12 @@ from .core import (
     ParsedWord,
     PTableau,
     Word,
+    _check_cells,
     _trimmed,
     is_partition_shaped,
     shape,
 )
-from .errors import RankMismatch, RowMismatch, ShapeError
+from .errors import PTableauError, RankMismatch, RowMismatch, ShapeError
 from .graph import CrystalGraph
 
 
@@ -53,8 +54,9 @@ def highest_weight_ptableau(parts, rows: int | None = None) -> PTableau:
     n = len(parts) if rows is None else rows
     if rows is not None and rows < len(parts):
         raise ShapeError("rows below partition length")
-    rows_values = [[i + 1] * parts[i] if i < len(parts) else [] for i in range(n)]
     bound = sum(1 for p in parts if p > 0)
+    _check_cells(n, bound)
+    rows_values = [[i + 1] * parts[i] if i < len(parts) else [] for i in range(n)]
     return PTableau._from_rows(rows_values, bound)
 
 
@@ -234,7 +236,7 @@ def lr_table(graph_mu: CrystalGraph, graph_nu: CrystalGraph):
     lam."""
     t_mu_max = graph_mu.highest_weight_node
     if not isinstance(t_mu_max, PTableau):
-        raise TypeError("lr computations require ptableau graphs")
+        raise PTableauError("lr computations require ptableau graphs")
     if graph_mu.rank != graph_nu.rank:
         raise RankMismatch("graphs have different ranks")
     table: dict = {}

@@ -16,7 +16,9 @@ the conditions in word order: it compares every pair of a value's cells
 and every pair of cells of two values.  ``word_pivot_convert`` is
 ``ptab convert`` as it was before the count matrix became its pivot: it
 reads every model as a parsed word, with the direct parsed word/biword
-maps of that design, and writes every target from it.
+maps of that design, and writes every target from it; it reads words,
+ptableaux and the "auto" sniff through the CLI's one reader, and biwords
+and matrices (which take no ``rank`` or ``cuts``) its own way.
 Apart from ``word_pivot_convert``, which reads and writes through the
 library's models, nothing here calls the library's packer, its operators,
 its count matrix or its validation; ``exhaust`` applies the operator it is
@@ -36,7 +38,7 @@ from ptableaux import (
     rsk,
     word_from_ptableau,
 )
-from ptableaux.cli import _load_parsed, _load_ptableau, _sniff_type
+from ptableaux.cli import _read_model
 from ptableaux.core import _normalize_grid
 from ptableaux.evacuation import inward_slide_step
 from ptableaux.errors import ColumnStrictViolation, ShadowViolation, StripViolation
@@ -339,15 +341,14 @@ def parsed_of_biword(bw):
 def word_pivot_convert(text, source, target, fmt="text", rank=None, cuts=None):
     """What ``ptab convert`` printed (less the newline) when every model
     pivoted through a parsed word; raises as it did."""
-    source = _sniff_type(text, source, cuts)
-    if source in ("word", "parsed"):
-        pw = _load_parsed(text, rank, cuts)
-    elif source == "ptab":
-        pw = word_from_ptableau(_load_ptableau(text))
-    elif source == "biword":
+    if source == "biword":
         pw = parsed_of_biword(Biword.from_text(text))
-    else:
+    elif source == "matrix":
         pw = parsed_of_biword(biword_from_matrix(NNMatrix.from_text(text)))
+    else:
+        pw = _read_model(text, source, rank, cuts)
+        if not isinstance(pw, ParsedWord):
+            pw = word_from_ptableau(pw)
     if target in ("word", "parsed"):
         return pw.word.to_text() if target == "word" else pw.to_text()
     tab = ptableau_from_word(pw)

@@ -1,5 +1,9 @@
 """Command line surface: every subcommand plus round trips and exit codes."""
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -155,6 +159,34 @@ class TestConvert:
             assert (code, out) == (1, "")
             assert err == "error: --parse cuts words, not a ptab input\n"
 
+    def test_rank_of_a_non_word_input_is_exit_1(self, capsys):
+        # --rank sizes a word: refused, as --parse is, on any other model
+        for argv in (
+            ("--from", "ptab", "1 2"),
+            (INTRO_T,),  # sniffed as a ptableau
+            ("--from", "biword", "1 1\n1 2"),
+            ("--from", "matrix", "1 0\n0 1"),
+        ):
+            code, out, err = run(capsys, "convert", "--to", "word", "--rank", "7", *argv)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: --rank applies to words, not a ")
+        for typed in (("--type", "ptab"), ()):  # declared or sniffed
+            code, out, err = run(capsys, "hw", "--in", ". 1\n1 .", *typed, "--rank", "2")
+            assert (code, out) == (1, "")
+            assert err == "error: --rank applies to words, not a ptab input\n"
+
+    def test_a_word_that_does_not_parse_is_named(self, capsys):
+        for argv, text in (
+            (("hw", "--in", "1 2"), "1 2"),
+            (("convert", "--to", "ptab", "1,x"), "1,x"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err == (
+                f"error: {text!r} read as a word: letters are digits,"
+                " or integers separated by commas\n"
+            )
+
 
 class TestApply:
     def test_raising_on_ptableau(self, capsys):
@@ -291,6 +323,14 @@ class TestGraphCommands:
             parts = lam.replace(",", ", ")
             assert (code, out, err) == (1, "", f"error: ({parts}) is not a partition\n")
 
+    def test_lr_verify_of_a_lambda_longer_than_the_rank(self, capsys):
+        # GL_2 has no irreducible of three rows: both counts are 0
+        code, out, err = run(
+            capsys, "lr", "--mu", "2,1", "--nu", "1", "--lambda", "2,1,1",
+            "--rank", "2", "--verify",
+        )
+        assert (code, out, err) == (0, "2,1,1 0 0 ok\n", "")
+
     def test_lr_with_verify(self, capsys):
         code, out, _ = run(
             capsys, "lr", "--mu", "2,1", "--nu", "2,1",
@@ -347,3 +387,43 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "--in", "1\n1")
         assert code == 1
         assert "fail valid-ptableau" in out
+
+
+class TestCountMatrixCap:
+    """A count matrix of more than 10**6 cells is refused before it is built."""
+
+    def test_huge_values_are_exit_1(self, capsys):
+        for argv, dims in (
+            (("evac", "--in", "2122331331"), "1 x 2122331331"),
+            (("check", "--in", "2122331331"), "1 x 2122331331"),
+            (("convert", "--from", "biword", "--to", "word", "1\n2122331331"), "1 x 2122331331"),
+            # Q of a one-cell ptableau holding 2122 has 2122 rows and values
+            (("convert", "--from", "ptab", "--to", "rsk", "2122"), "2122 x 2122"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err == f"error: a {dims} count matrix exceeds 1000000 cells\n"
+
+    def test_huge_ranks_are_exit_1_under_a_memory_limit(self):
+        # without the cap these grow until the memory runs out, so they run
+        # in a child process whose address space is capped at 1 GiB
+        script = (
+            "from ptableaux.cli import main; "
+            "print([main(argv) for argv in ("
+            "['convert', '--to', 'word', '1,3000000000'], "
+            "['lr', '--mu', '1', '--nu', '1', '--lambda', '2', '--rank', '3000000000'], "
+            "['lr', '--mu', '0', '--nu', '0', '--lambda', '0', '--rank', '3000000000'])])"
+        )
+        limit = 1 << 30
+        child = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert child.stdout == "[1, 1, 1]\n"
+        assert child.stderr == (
+            "error: a 3000000000 x 2 count matrix exceeds 1000000 cells\n"
+            "error: a 3000000000 x 1 count matrix exceeds 1000000 cells\n"
+            "error: a 3000000000 x 0 count matrix exceeds 1000000 cells\n"
+        )

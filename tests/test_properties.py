@@ -10,6 +10,7 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations, permutations
+from unittest.mock import patch
 
 from hypothesis import given, settings, strategies as st
 
@@ -60,7 +61,7 @@ from ptableaux import (
     word_from_ptableau,
 )
 from ptableaux import core
-from ptableaux.cli import _load_ptableau, main
+from ptableaux.cli import _read_model, main
 from ptableaux.core import PTableau
 from ptableaux.errors import ColumnStrictViolation, PTableauError
 from ptableaux.evacuation import inward_slide_step
@@ -619,7 +620,7 @@ class TestCountPivot:
 
     def _check(self, source, text, rank=None):
         # inputs of content bound 0 are test_bound_zero_inputs_lose_the_added_factor's
-        if source == "ptab" and _load_ptableau(text).content_bound == 0:
+        if source == "ptab" and _read_model(text).content_bound == 0:
             return
         if source in ("biword", "matrix") and not text.strip():
             return
@@ -668,3 +669,101 @@ class TestCountPivot:
         assert biword_from_parsed(pw) == biword_of_parsed(pw)
         assert parsed_from_biword(biword_of_parsed(pw)) == pw
         assert parsed_from_biword(bw) == parsed_of_biword(bw)
+
+
+# A grammar of every subcommand and option of ``ptab`` but --help.  An
+# option's value is well formed for it or, now and then, a malformed token
+# from _BAD; an option may also lose its value or come from another
+# subcommand.  Ranks stay at most 4, --max-nodes at most 100 and integers at
+# most 10**4, so that every call is quick.
+_BAD = ["", " ", "x", "-", "-1", "0", "|", "||", "{", '{"grid": 5}', "1,x", "1,,2", "e1", "10000"]
+_TEXTS = [". 1\n1 .", "1 1\n2 .", "1 1 2\n2 3 .\n3 . .", ". .\n. .", "1\n1", "2 1", "1 2",
+          '{"grid": [[1, 1], [2, null]]}', '{"grid": [[], []]}', "1 1 2\n2 1 1", "1 0\n2 1"]
+_RARELY = st.sampled_from([False] * 19 + [True])  # st.integers would favour 0
+_INTS = st.integers(-(10**4), 10**4).map(str)
+
+
+@st.composite
+def _words(draw):
+    letters = draw(st.lists(st.sampled_from("1234"), max_size=6))
+    # read as a ptableau, a digit string is one value: at most 4444
+    text = draw(st.sampled_from(["", ","] if len(letters) <= 4 else [","])).join(letters)
+    if letters and draw(st.booleans()):
+        cut = draw(st.integers(0, len(text)))
+        text = text[:cut] + "|" + text[cut:]
+    return text
+
+
+_INPUTS = st.one_of(_words(), st.sampled_from(_TEXTS + _BAD))
+_PARTS = st.sampled_from(["", "0", "1", "2", "1,1", "2,1", "3,1", "2,1,1", "1,3", "2,-1", "x",
+                          "1,1,1,1,1"])
+_VALUES = {
+    "--from": st.sampled_from(["word", "parsed", "ptab", "biword", "matrix", "auto"]),
+    "--to": st.sampled_from(["word", "parsed", "ptab", "biword", "matrix", "dual", "rsk"]),
+    "--type": st.sampled_from(["word", "ptab", "auto"]),
+    "--format": st.sampled_from(["text", "json", "text", "json", "dot"]),  # dot: crystal's
+    "--rank": st.integers(-1, 4).map(str),
+    "--max-nodes": st.integers(-1, 100).map(str),
+    "--length": _INTS,
+    "--split": _INTS,
+    "--parse": _words(),
+    "--ops": st.sampled_from(["e1", "f1 f2", "e1,f3", "f1 f1 e2", "", "e", "x1", "f9", "e0"]),
+    "--algorithm": st.sampled_from(["push-down", "push-up", "both"]),
+    "--mu": _PARTS,
+    "--nu": _PARTS,
+    "--lambda": _PARTS,
+    "--verify": None,  # a flag
+}
+for _option in ("--in", "--seed", "--left", "--right"):
+    _VALUES[_option] = _INPUTS
+# each subcommand's options, the required ones first
+_COMMANDS = {
+    "convert": (["--to"], ["--from", "--rank", "--parse", "--format"]),
+    "apply": (["--ops", "--in"], ["--type", "--rank", "--parse", "--format"]),
+    "hw": (["--in"], ["--type", "--rank", "--parse", "--format"]),
+    "crystal": (["--seed"], ["--type", "--rank", "--parse", "--max-nodes", "--format"]),
+    "decompose": (["--rank", "--length"], ["--max-nodes", "--format"]),
+    "lr": (["--mu", "--nu", "--lambda", "--rank"], ["--verify"]),
+    "evac": (["--in"], ["--format"]),
+    "lusztig": (["--in"], ["--format"]),
+    "commute": ([], ["--left", "--right", "--in", "--split", "--algorithm", "--format"]),
+    "check": (["--in"], []),
+}
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS) + ["bogus"]))
+    required, optional = _COMMANDS.get(command, ([], []))
+    options = [o for o in required if not draw(_RARELY)]
+    options += [o for o in optional if draw(st.booleans())]
+    if draw(_RARELY):  # another subcommand's option
+        options.append(draw(st.sampled_from(sorted(_VALUES))))
+    argv = [command]
+    for option in draw(st.permutations(options)):
+        argv.append(option)
+        values = _VALUES[option]
+        if values is not None and not draw(_RARELY):
+            argv.append(draw(st.sampled_from(_BAD) if draw(_RARELY) else values))
+    if command == "convert" or draw(_RARELY):  # the positional input
+        argv.append(draw(_INPUTS))
+    return argv
+
+
+class TestCliMain:
+    """``main`` answers every argv of the grammar with 0 or 1, and a 1 with a
+    message; only argparse's usage errors leave it, as ``SystemExit(2)``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cli_argvs())
+    def test_main_returns_0_or_1_or_argparse_exits_2(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), patch("sys.stdin", io.StringIO("12")):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                assert exc.code == 2 and err.getvalue().startswith("usage: ptab")
+                return
+        assert code in (0, 1)
+        if code == 1:  # check reports an invalid grid on stdout
+            assert err.getvalue().startswith("error: ") or "fail valid-ptableau" in out.getvalue()

@@ -24,7 +24,7 @@ from ptableaux import (
     words_closure,
     decompose,
 )
-from ptableaux.errors import RowMismatch, ShapeError
+from ptableaux.errors import PTableauError, RowMismatch, ShapeError
 
 B = None
 
@@ -199,6 +199,11 @@ class TestLRCoefficient:
         g_mu = component(highest_weight_ptableau((2, 1), rows=3))
         g_nu = component(highest_weight_ptableau((2, 1), rows=3))
         assert lr_coefficient(g_mu, g_nu, (3, 2, 1)) == 2
+
+    def test_graphs_of_words_are_a_typed_error(self):
+        g = component(Word.from_text("12", 2))
+        with pytest.raises(PTableauError, match="^lr computations require ptableau graphs$"):
+            lr_table(g, g)
 
     def test_empty_nu(self):
         g_mu = component(highest_weight_ptableau((2, 1), rows=3))
